@@ -7,6 +7,10 @@ events, then every model is updated with it.  Individual, social and
 trend components are all maintained online, so no prediction can see the
 future.  Several social-model variants (influence-class subsets, drift
 on/off) are scored in a single pass against one shared individual model.
+The variants of a target also share one social store and its tie masses:
+each situation is recorded once, through the primary model, for the union
+of the variants' classes, and each variant reads it through its own class
+filter and drift setting.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from . import correlation
 from .core import TemporalContext, WEEKEND
 from .errors import DegenerateInput, ModelEmpty, NoData
 from .ingestion import Dataset
-from .sost import CLASS_I, CLASS_II, CLASS_III, SostConfig, SostModel
-from .vomm import ContextTree, MergedContextView
+from .sost import CLASS_I, CLASS_II, CLASS_III, SocialTree, SostConfig, SostModel
+from .vomm import ContextKey, ContextTree, MergedContextView
 
 
 # --- predictability bounds ---------------------------------------------------
@@ -260,7 +264,9 @@ def evaluate(
             t = st_trees[user] = ContextTree(config.tree)
         return t
 
-    # models per variant per target, sharing tie masses across variants
+    # models per variant per target, sharing the social store and tie
+    # masses across variants
+    store_classes = frozenset().union(*(vcfg.classes for _, vcfg in variants))
     models: dict[str, dict[str, SostModel]] = {name: {} for name in variant_names}
     watchers: dict[str, list[str]] = {}
     for tgt in target_list:
@@ -270,10 +276,11 @@ def evaluate(
             if neighbors
             else None
         )
-        primary = SostModel(tgt, neighbors, config=config, trend=trend)
+        social = SocialTree(store_classes)
+        primary = SostModel(tgt, neighbors, config=config, trend=trend, social=social)
         models["primary"][tgt] = primary
         for name, vcfg in variants[1:]:
-            clone = SostModel(tgt, neighbors, config=vcfg, trend=trend)
+            clone = SostModel(tgt, neighbors, config=vcfg, trend=trend, social=social)
             clone.tie_mass = primary.tie_mass
             models[name][tgt] = clone
         for u in neighbors | {tgt}:
@@ -302,6 +309,7 @@ def evaluate(
 
     for ci in dataset.checkins:
         u, v, t = ci.user_id, ci.venue_id, ci.timestamp
+        temporal = config.tree.temporal(t)
 
         if u in target_set:
             rec = records[u]
@@ -311,7 +319,8 @@ def evaluate(
             dist: dict[str, float] = {}
             unseen = 0.0
             if st is not None and st.alphabet:
-                key = st.key(prev_venues.get(u, ()), t)
+                # prev_venues keeps at most kappa venues per user
+                key = ContextKey(tuple(prev_venues.get(u, ())), temporal)
                 dist, unseen = st.distribution(key)
                 st_pred, _ = _argmax(dist)
 
@@ -368,7 +377,7 @@ def evaluate(
                 predictions.append(row)
 
         # --- updates (strictly after the prediction) ---
-        tree_of(u).train_event(v, t, prev_venues.get(u, ()))
+        tree_of(u).observe(v, tuple(prev_venues.get(u, ())), temporal)
 
         interested = watchers.get(u)
         if interested:
@@ -392,8 +401,7 @@ def evaluate(
                         primary.add_tie_mass(u, float(c))
                 circle_present = present_window & (primary.neighbors | {tgt})
                 situation = frozenset(circle_present | {u})
-                for name in variant_names:
-                    models[name][tgt].record_social_context(situation, v, t)
+                primary.record_social_context(situation, v, t, temporal=temporal)
 
         lst = recent.setdefault(v, [])
         lst.append((t, u))

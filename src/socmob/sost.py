@@ -9,22 +9,26 @@ Influence classes, from the point of view of the target user:
 * Class II  — two or more friends, target absent.
 * Class III — a single friend on their own.
 
-Each record keeps the set of users involved, the time of its latest
-occurrence, and a counter reinforced on recurrence; between occurrences
-the counter decays lazily at read time.
+Each record keeps the set of users involved, its influence class, the
+time of its latest occurrence, a counter reinforced on recurrence (between
+occurrences it decays lazily at read time) and the plain number of
+occurrences, which is what a reader without drift sees.  Because a
+record's class depends only on its users and the target, one store can
+serve several readers that differ in the classes they admit and in
+whether counters decay: each reader skips the records of other classes.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .core import CheckIn, TemporalContext, WEEK_SECONDS
 from .errors import ConfigError, ModelEmpty
 from .homophily import WeightScheme, colocation_count
-from .vomm import ContextKey, ContextTree, MergedContextView, TreeConfig
+from .vomm import ContextKey, ContextTree, MergedContextView, TreeConfig, temporal_labels
 
 HOUR_SECONDS = 3_600
 
@@ -87,21 +91,33 @@ def drift_factor(elapsed: float, beta: float, stay_hours: float, kind: str) -> f
 
 @dataclass(slots=True)
 class InfluenceRecord:
-    """⟨user set, last occurrence, counter⟩ stored at a tree node."""
+    """⟨user set, last occurrence, counter⟩ stored at a tree node.
+
+    ``cls`` is the record's influence class, ``hits`` the number of
+    occurrences (what a reader without drift sees) and ``seq`` the order in
+    which the tree created the record.
+    """
 
     users: frozenset[str]
     last_seen: int
     counter: float
+    cls: str | None = None
+    hits: int = 1
+    seq: int = 0
 
     def value_at(self, now: int | None, config: SostConfig) -> float:
-        """Counter as seen at ``now`` (lazily decayed)."""
-        if now is None or config.drift == "none":
+        """Counter as seen at ``now`` (lazily decayed), or the plain
+        occurrence count when ``config`` has no drift."""
+        if config.drift == "none":
+            return float(self.hits)
+        if now is None:
             return self.counter
         return self.counter * drift_factor(
             now - self.last_seen, config.beta, config.stay_hours, config.drift
         )
 
     def reinforce(self, now: int, config: SostConfig) -> None:
+        self.hits += 1
         if config.drift == "none":
             self.counter += 1.0
         else:
@@ -189,15 +205,35 @@ class _SocialNode:
     def __init__(self):
         self.children: dict[tuple, _SocialNode] = {}
         self.records: dict[frozenset[str], InfluenceRecord] = {}
-        # union of all user sets recorded here; a cheap prefilter for
-        # candidate discovery
-        self.users: set[str] = set()
+        # on slot nodes, the union of all user sets recorded here: a cheap
+        # prefilter for candidate discovery
+        self.users: set[str] | None = None
 
 
 def _situation_labels(venue: str, temporal: TemporalContext) -> tuple[tuple, ...]:
-    from .vomm import temporal_labels
-
     return (("L", venue),) + temporal_labels(temporal)
+
+
+def _holds(node: _SocialNode, classes: frozenset[str] | None) -> bool:
+    """Whether the node has records a reader admitting ``classes`` sees."""
+    if classes is None:
+        return bool(node.records)
+    return any(rec.cls in classes for rec in node.records.values())
+
+
+def _in_creation_order(
+    nodes: Iterable[_SocialNode], classes: frozenset[str]
+) -> list[_SocialNode]:
+    """The nodes holding records of ``classes``, in the order a tree storing
+    only those classes would have created them."""
+    born = []
+    for node in nodes:
+        for rec in node.records.values():
+            if rec.cls in classes:
+                born.append((rec.seq, node))
+                break
+    born.sort(key=lambda pair: pair[0])
+    return [node for _, node in born]
 
 
 class SocialTree:
@@ -205,12 +241,19 @@ class SocialTree:
 
     Records are attached along the whole path (venue node and each
     temporal refinement), so coarser nodes aggregate the evidence of
-    their subtrees.
+    their subtrees.  ``classes`` are the influence classes the tree
+    stores.  Readers that admit fewer classes pass their set as
+    ``classes`` to the query methods and see exactly what a tree storing
+    only those classes would hold, in the same order; ``None`` means no
+    filter.
     """
 
-    def __init__(self):
+    def __init__(self, classes: Iterable[str]):
         self.root = _SocialNode()
+        self.classes = frozenset(classes)
         self.n_records = 0
+        # temporal labels of a cell -> {venue: its slot node in that cell}
+        self._cells: dict[tuple, dict[str, _SocialNode]] = {}
 
     def record(
         self,
@@ -219,22 +262,31 @@ class SocialTree:
         users: frozenset[str],
         timestamp: int,
         config: SostConfig,
+        cls: str,
     ) -> None:
+        """Add one occurrence of a ``cls`` situation along its path; the
+        counters decay with ``config``'s drift."""
+        labels = _situation_labels(venue, temporal)
         node = self.root
-        for lab in _situation_labels(venue, temporal):
+        for lab in labels:
             child = node.children.get(lab)
             if child is None:
                 child = node.children[lab] = _SocialNode()
             rec = child.records.get(users)
             if rec is None:
                 child.records[users] = InfluenceRecord(
-                    users=users, last_seen=timestamp, counter=1.0
+                    users, timestamp, 1.0, cls, 1, self.n_records
                 )
                 self.n_records += 1
             else:
                 rec.reinforce(timestamp, config)
-            child.users |= users
             node = child
+        # node is now the slot node, and rec its record as it was before
+        if node.users is None:
+            node.users = set(users)
+            self._cells.setdefault(labels[1:], {})[venue] = node
+        elif rec is None:
+            node.users |= users
 
     def path_nodes(self, venue: str, temporal: TemporalContext) -> list[_SocialNode]:
         """Existing nodes along venue → day class → day → slot, root excluded."""
@@ -248,7 +300,10 @@ class SocialTree:
         return nodes
 
     def query_node(
-        self, venue: str, temporal: TemporalContext
+        self,
+        venue: str,
+        temporal: TemporalContext,
+        classes: frozenset[str] | None = None,
     ) -> tuple[_SocialNode, list[_SocialNode]] | None:
         """The node for the venue's full temporal context, with its path.
 
@@ -256,32 +311,44 @@ class SocialTree:
         other slots or days deliberately does not leak across cells.
         """
         nodes = self.path_nodes(venue, temporal)
-        if len(nodes) == 4 and nodes[3].records:
+        if len(nodes) == 4 and _holds(nodes[3], classes):
             return nodes[3], nodes
         return None
 
     def venues_at(
-        self, temporal: TemporalContext, users: Iterable[str] | None = None
+        self,
+        temporal: TemporalContext,
+        users: Iterable[str] | None = None,
+        classes: frozenset[str] | None = None,
     ) -> list[str]:
         """Venues holding records at this exact temporal context
         (optionally restricted to records overlapping the given users)."""
-        from .vomm import temporal_labels
-
-        tl = temporal_labels(temporal)
-        out = []
+        cell = self._cells.get(temporal_labels(temporal))
+        if not cell:
+            return []
         user_set = None if users is None else frozenset(users)
-        for lab, node in self.root.children.items():
-            n = node
-            for t in tl:
-                n = n.children.get(t)
-                if n is None:
-                    break
-            if n is None or not n.records:
+        out = []
+        for venue, node in cell.items():
+            if user_set is not None and node.users.isdisjoint(user_set):
                 continue
-            if user_set is not None and not (n.users & user_set):
-                continue
-            out.append(lab[1])
+            if classes is None or any(
+                rec.cls in classes
+                and (user_set is None or not rec.users.isdisjoint(user_set))
+                for rec in node.records.values()
+            ):
+                out.append(venue)
         return sorted(out)
+
+    def normalizer_nodes(
+        self, path: Sequence[_SocialNode], classes: frozenset[str] | None = None
+    ) -> list[_SocialNode]:
+        """Estimator A's normalizing set for the node ending ``path``: every
+        venue node, and the children of each node above it on the path."""
+        groups = [self.root.children.values()]
+        groups.extend(parent.children.values() for parent in path[:-1])
+        if classes is None:
+            return [node for group in groups for node in group]
+        return [node for group in groups for node in _in_creation_order(group, classes)]
 
     @staticmethod
     def effective_counter(
@@ -290,6 +357,7 @@ class SocialTree:
         tie: Mapping[str, float],
         now: int | None,
         config: SostConfig,
+        classes: frozenset[str] | None = None,
     ) -> float:
         """Jaccard-weighted sum of the node's decayed record counters."""
         if node is None:
@@ -297,16 +365,27 @@ class SocialTree:
         total = 0.0
         users_now = frozenset(users_now)
         for rec in node.records.values():
+            if classes is not None and rec.cls not in classes:
+                continue
             j = influence_jaccard(users_now, rec.users, tie)
             if j > 0.0:
                 total += rec.value_at(now, config) * j
         return total
 
     @staticmethod
-    def raw_total(node: _SocialNode | None, now: int | None, config: SostConfig) -> float:
+    def raw_total(
+        node: _SocialNode | None,
+        now: int | None,
+        config: SostConfig,
+        classes: frozenset[str] | None = None,
+    ) -> float:
         if node is None:
             return 0.0
-        return sum(rec.value_at(now, config) for rec in node.records.values())
+        return sum(
+            rec.value_at(now, config)
+            for rec in node.records.values()
+            if classes is None or rec.cls in classes
+        )
 
     # -- serialization --------------------------------------------------
 
@@ -316,12 +395,13 @@ class SocialTree:
                 "r": [
                     {
                         "users": sorted(rec.users),
+                        "cls": rec.cls,
                         "t": rec.last_seen,
                         "c": repr(rec.counter),
+                        "h": rec.hits,
+                        "n": rec.seq,
                     }
-                    for key, rec in sorted(
-                        node.records.items(), key=lambda kv: sorted(kv[0])
-                    )
+                    for rec in node.records.values()
                 ],
                 "k": {
                     f"{lab[0]}:{lab[1]}": enc(child)
@@ -331,29 +411,63 @@ class SocialTree:
                 },
             }
 
-        return {"format": "socmob-social-tree", "version": 1, "root": enc(self.root)}
+        return {
+            "format": "socmob-social-tree",
+            "version": 2,
+            "classes": sorted(self.classes),
+            "root": enc(self.root),
+        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "SocialTree":
-        if data.get("format") != "socmob-social-tree" or data.get("version") != 1:
-            raise ValueError("not a version-1 social tree dump")
+        """Rebuild a dumped tree, its read order and its lookup structures.
+
+        Version-1 dumps carry no classes, hit counts or creation order:
+        their records load with no class, so that only readers without a
+        class filter see them; the counter stands in for the hit count,
+        and records and nodes keep the dump's order.
+        """
+        version = data.get("version")
+        if data.get("format") != "socmob-social-tree" or version not in (1, 2):
+            raise ValueError("not a version-1 or version-2 social tree dump")
 
         def dec(payload: dict) -> _SocialNode:
             node = _SocialNode()
             for entry in payload["r"]:
                 users = frozenset(entry["users"])
-                node.records[users] = InfluenceRecord(
-                    users=users, last_seen=entry["t"], counter=float(entry["c"])
-                )
+                counter = float(entry["c"])
+                if version == 1:
+                    rec = InfluenceRecord(users, entry["t"], counter, None, counter)
+                else:
+                    rec = InfluenceRecord(
+                        users, entry["t"], counter, entry["cls"], entry["h"], entry["n"]
+                    )
+                node.records[users] = rec
+            children = {}
             for key, child in payload["k"].items():
                 kind, _, value = key.partition(":")
-                lab = (kind, value if kind == "L" else int(value))
-                node.children[lab] = dec(child)
+                children[(kind, value if kind == "L" else int(value))] = dec(child)
+            if version == 1:
+                node.children = children
+            else:
+                # a node is created together with its first record
+                node.children = dict(
+                    sorted(
+                        children.items(),
+                        key=lambda kv: next(iter(kv[1].records.values())).seq,
+                    )
+                )
             return node
 
-        tree = cls()
+        tree = cls(data.get("classes", ALL_CLASSES))
         tree.root = dec(data["root"])
         tree.n_records = sum(1 for _ in _walk_records(tree.root))
+        for (_, venue), vnode in tree.root.children.items():
+            for wlab, wnode in vnode.children.items():
+                for dlab, dnode in wnode.children.items():
+                    for slab, snode in dnode.children.items():
+                        snode.users = set().union(*snode.records)
+                        tree._cells.setdefault((wlab, dlab, slab), {})[venue] = snode
         return tree
 
     def dumps(self) -> str:
@@ -383,7 +497,16 @@ class PredictOutcome:
 
 
 class SostModel:
-    """Per-target social model: influence records, tie masses, trend view."""
+    """Per-target social model: influence records, tie masses, trend view.
+
+    The model reads its records from ``social``, a store it may share with
+    models of other configurations for the same target (one per evaluation
+    variant).  A new store admits the model's own classes.  A shared store
+    admits the union of its readers' classes and is written through one
+    model, whose drift setting decays the stored counters; every reader
+    skips the records of classes it does not admit, and a reader without
+    drift sees occurrence counts instead of the decayed counters.
+    """
 
     def __init__(
         self,
@@ -391,11 +514,18 @@ class SostModel:
         neighbors: Iterable[str],
         config: SostConfig | None = None,
         trend: ContextTree | MergedContextView | None = None,
+        social: SocialTree | None = None,
     ):
         self.target = target
         self.neighbors = frozenset(neighbors)
         self.config = config or SostConfig()
-        self.social = SocialTree()
+        self.social = social if social is not None else SocialTree(self.config.classes)
+        # the class filter of every read; None when the store holds no
+        # class this model does not admit
+        self.class_filter = (
+            None if self.social.classes <= self.config.classes else self.config.classes
+        )
+        self._circle = self.neighbors | {target}
         self.trend = trend
         # raw co-location masses; influence_jaccard is scale invariant so
         # these never need normalizing
@@ -410,60 +540,29 @@ class SostModel:
         venue: str,
         timestamp: int,
         cls: str | None = None,
+        temporal: TemporalContext | None = None,
     ) -> str | None:
-        """Store one situation occurrence if its class is enabled.
+        """Store one situation occurrence if the store admits its class.
 
+        ``temporal`` defaults to the calendar context of ``timestamp``.
+        Influencers are counted for this model's own classes only.
         Returns the class that was recorded, or None when gated off.
         """
-        users = frozenset(users) & (self.neighbors | {self.target})
+        users = frozenset(users) & self._circle
         if cls is None:
             cls = classify_situation(users, self.target)
-        if cls is None or cls not in self.config.classes:
+        if cls is None or cls not in self.social.classes:
             return None
-        temporal = self.config.tree.temporal(timestamp)
-        self.social.record(venue, temporal, users, timestamp, self.config)
-        self.influencers.update(users - {self.target})
+        if temporal is None:
+            temporal = self.config.tree.temporal(timestamp)
+        self.social.record(venue, temporal, users, timestamp, self.config, cls)
+        if cls in self.config.classes:
+            self.influencers.update(users - {self.target})
         return cls
 
     def add_tie_mass(self, friend: str, mass: float) -> None:
         if mass > 0.0:
             self.tie_mass[friend] = self.tie_mass.get(friend, 0.0) + mass
-
-    def train_social(self, circle_events: Sequence[CheckIn]) -> None:
-        """Batch trainer over a time-sorted stream of circle check-ins.
-
-        Each event is matched against circle visits to the same venue in
-        the preceding situation window, classified, and recorded.  Tie
-        masses accumulate from week-window co-locations with the target.
-        """
-        recent: dict[str, list[tuple[int, str]]] = {}
-        window = self.config.situation_window
-        tie_window = self.config.tie_window
-        circle = self.neighbors | {self.target}
-        for ci in circle_events:
-            if ci.user_id not in circle:
-                continue
-            visits = recent.setdefault(ci.venue_id, [])
-            present = {u for ts, u in visits if ts >= ci.timestamp - window}
-            present.add(ci.user_id)
-            self.record_social_context(frozenset(present), ci.venue_id, ci.timestamp)
-            if ci.user_id == self.target:
-                for ts, u in visits:
-                    if u != self.target and ts >= ci.timestamp - tie_window:
-                        self.add_tie_mass(u, 1.0)
-            else:
-                n = sum(
-                    1
-                    for ts, u in visits
-                    if u == self.target and ts >= ci.timestamp - tie_window
-                )
-                if n:
-                    self.add_tie_mass(ci.user_id, float(n))
-            visits.append((ci.timestamp, ci.user_id))
-            if len(visits) > 64 and visits[0][0] < ci.timestamp - tie_window:
-                recent[ci.venue_id] = [
-                    (ts, u) for ts, u in visits if ts >= ci.timestamp - tie_window
-                ]
 
     # -- estimation ---------------------------------------------------------
 
@@ -474,11 +573,11 @@ class SostModel:
         temporal: TemporalContext,
         now: int | None = None,
     ) -> float:
-        found = self.social.query_node(venue, temporal)
+        found = self.social.query_node(venue, temporal, self.class_filter)
         if found is None:
             return 0.0
         return SocialTree.effective_counter(
-            found[0], users_now, self.tie_mass, now, self.config
+            found[0], users_now, self.tie_mass, now, self.config, self.class_filter
         )
 
     def social_prob(
@@ -491,25 +590,26 @@ class SostModel:
     ) -> float:
         """Social probability mass for one venue under the active situation."""
         estimator = estimator or self.config.estimator
-        found = self.social.query_node(venue, temporal)
+        classes = self.class_filter
+        found = self.social.query_node(venue, temporal, classes)
         if found is None:
             return 0.0
         eta, path = found
-        num = SocialTree.effective_counter(eta, users_now, self.tie_mass, now, self.config)
+        num = SocialTree.effective_counter(
+            eta, users_now, self.tie_mass, now, self.config, classes
+        )
         if num <= 0.0:
             return 0.0
         if estimator == "B":
-            den = SocialTree.raw_total(eta, now, self.config)
+            den = SocialTree.raw_total(eta, now, self.config, classes)
             return num / den if den > 0.0 else 0.0
         # estimator A: normalize over the node, its ancestors, and their
         # sibling nodes
-        siblings: list[_SocialNode] = list(self.social.root.children.values())
-        for parent in path[:-1]:
-            siblings.extend(parent.children.values())
+        siblings = self.social.normalizer_nodes(path, classes)
         den = float(len(siblings))
         for node in siblings:
             den += SocialTree.effective_counter(
-                node, users_now, self.tie_mass, now, self.config
+                node, users_now, self.tie_mass, now, self.config, classes
             )
         return num / den if den > 0.0 else 0.0
 
@@ -547,7 +647,9 @@ class SostModel:
         key = st_tree.key(prev_venues, timestamp)
         dist, unseen = st_tree.distribution(key, candidates=(venue,))
         individual = dist[venue]
-        cands = set(st_tree.alphabet) | set(self.social.venues_at(key.temporal))
+        cands = set(st_tree.alphabet) | set(
+            self.social.venues_at(key.temporal, classes=self.class_filter)
+        )
         cands.add(venue)
         factors = self.social_factors(cands, users_now, key.temporal, now=timestamp)
         return individual if factors is None else factors[venue] * individual
@@ -575,7 +677,7 @@ class SostModel:
         active = bool(users_now and len(users_now) >= 2)
         factors: dict[str, float] | None = None
         if active:
-            social_venues = self.social.venues_at(key.temporal, users_now)
+            social_venues = self.social.venues_at(key.temporal, users_now, self.class_filter)
             if any(q not in dist for q in social_venues):
                 dist = dict(dist)
                 for q in social_venues:
@@ -665,13 +767,3 @@ class SostModel:
                     social_matched=False,
                 )
         raise ModelEmpty("neither the individual nor the trend model has data")
-
-    def with_config(self, **changes) -> "SostModel":
-        clone = SostModel(
-            self.target,
-            self.neighbors,
-            config=replace(self.config, **changes),
-            trend=self.trend,
-        )
-        clone.tie_mass = self.tie_mass
-        return clone

@@ -184,11 +184,6 @@ class ContextTree:
         ranked = sorted(dist.items(), key=lambda kv: (-kv[1], kv[0]))
         return ranked[:limit] if limit is not None else ranked
 
-    def unseen_prob(self, key: ContextKey) -> float:
-        """Probability assigned to a symbol never seen in training."""
-        _, unseen = self.distribution(key, candidates=())
-        return unseen
-
     def escape_at_root(self) -> float:
         """Escape estimate of the empty context: new-symbol mass at order 0."""
         sigma = len(self.root.counts)

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -228,3 +229,41 @@ class TestCausalitySpot:
         before = [r for r in base.predictions if r["timestamp"] <= cut]
         after = [r for r in got.predictions if r["timestamp"] <= cut]
         assert before == after
+
+
+class TestSharedStoreVariants:
+    """Every variant scored in one pass matches a run of its own config."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        cfg = GenConfig(
+            n_users=16, days=14, seed=4, p_cositu=0.95, p_meetup=1.0, p_follow=0.5,
+            activity_threshold=5,
+        )
+        return generate(cfg)[0]
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SostConfig(),
+            SostConfig(estimator="A", drift="geometric", classes=frozenset({"I", "II"})),
+        ],
+        ids=["default", "A-geometric-I-II"],
+    )
+    def test_variant_accuracies_match_standalone_runs(self, corpus, config):
+        swept = evaluate(corpus, config, class_sweep=True, drift_compare=True)
+        sync = replace(config, enable_trend=False)
+        standalone = {
+            "primary": config,
+            "no_drift": replace(config, drift="none"),
+            "classes_I": replace(sync, classes=frozenset({"I"})),
+            "classes_I_II": replace(sync, classes=frozenset({"I", "II"})),
+            "classes_I_II_III": replace(sync, classes=frozenset({"I", "II", "III"})),
+        }
+        assert set(swept.variant_accuracies) == set(standalone)
+        for name, cfg in standalone.items():
+            alone = evaluate(corpus, cfg)
+            assert swept.variant_accuracies[name] == alone.accuracy_sost, name
+            assert swept.accuracy_st == alone.accuracy_st
+        # the sweep must not be vacuous: influence changes some predictions
+        assert swept.variant_accuracies["classes_I"] != swept.accuracy_st

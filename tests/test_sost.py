@@ -3,7 +3,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from socmob.core import TemporalContext
 from socmob.errors import ConfigError, ModelEmpty
 from socmob.homophily import WeightScheme
 from socmob.sost import (
@@ -274,6 +276,45 @@ class TestSocialTree:
         n2 = clone.query_node("V", temporal_at(T0))[0]
         u = frozenset({"me", "f"})
         assert n1.records[u].counter == n2.records[u].counter  # bit exact
+        loaded = SostModel("me", ["f", "g"], config=cfg, social=clone)
+        loaded.tie_mass = model.tie_mass = {"f": 0.6, "g": 0.4}
+        for ts in (T0, T0 + 7200):
+            temporal = temporal_at(ts)
+            for users in (None, {"f"}, {"me", "g"}):
+                assert clone.venues_at(temporal, users) == tree.venues_at(temporal, users)
+            assert tree.venues_at(temporal, {"f"})
+            for venue in ("V", "W"):
+                for estimator in ("A", "B"):
+                    args = (venue, {"me", "f", "g"}, temporal, T0 + 10**5, estimator)
+                    assert loaded.social_prob(*args) == model.social_prob(*args)
+
+    def test_loads_version_1_dump(self):
+        v1 = {
+            "format": "socmob-social-tree",
+            "version": 1,
+            "root": {"r": [], "k": {"L:V": {"r": [{"users": ["f", "me"], "t": T0, "c": "2.5"}],
+                     "k": {"W:0": {"r": [{"users": ["f", "me"], "t": T0, "c": "2.5"}],
+                     "k": {"D:1": {"r": [{"users": ["f", "me"], "t": T0, "c": "2.5"}],
+                     "k": {"S:3": {"r": [{"users": ["f", "me"], "t": T0, "c": "2.5"}],
+                     "k": {}}}}}}}}}},
+        }
+        tree = SocialTree.from_dict(v1)
+        assert tree.n_records == 4
+        temporal = TemporalContext("workday", 1, 3)
+        node, path = tree.query_node("V", temporal)
+        rec = node.records[frozenset({"me", "f"})]
+        assert (rec.counter, rec.last_seen, rec.cls) == (2.5, T0, None)
+        assert tree.venues_at(temporal, {"f"}) == ["V"]
+        model = SostModel("me", ["f"], config=SostConfig(drift="none"), social=tree)
+        model.tie_mass = {"f": 1.0}
+        assert model.social_prob("V", {"me", "f"}, temporal) == 1.0
+        # a class filter does not admit records of unknown class
+        only_ii = SostModel("me", ["f"], config=SostConfig(classes=frozenset({"II"})), social=tree)
+        assert only_ii.social_prob("V", {"me", "f"}, temporal) == 0.0
+
+    def test_rejects_other_formats(self):
+        with pytest.raises(ValueError):
+            SocialTree.from_dict({"format": "socmob-social-tree", "version": 3, "root": {}})
 
 
 class TestEffectiveCounter:
@@ -468,3 +509,83 @@ class TestConfig:
             SostConfig(classes=frozenset({"IV"}))
         with pytest.raises(ConfigError):
             SostConfig(stay_hours=0.0)
+
+
+FRIENDS = ("f1", "f2", "f3")
+CIRCLE = ("me",) + FRIENDS
+CLASS_SETS = [frozenset(c) for c in ({"I"}, {"II"}, {"III"}, {"I", "II"}, {"II", "III"}, ALL_CLASSES)]
+
+situation_users = st.frozensets(st.sampled_from(CIRCLE), min_size=1, max_size=4)
+# few venues and calendar cells, so that records collide, and steps of zero
+# seconds, so that several situations share a timestamp
+situations = st.lists(
+    st.tuples(
+        situation_users,
+        st.sampled_from(["A", "B", "C"]),
+        st.sampled_from([0, 0, 600, HOUR, 2 * HOUR, 86_400, 6 * 86_400]),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+class TestSharedStore:
+    """Each reader of a shared store sees what a store of its own holds."""
+
+    @staticmethod
+    def visible(model, found, now):
+        if found is None:
+            return None
+        node, path = found
+        return [
+            (rec.users, rec.value_at(now, model.config))
+            for rec in node.records.values()
+            if model.class_filter is None or rec.cls in model.class_filter
+        ], len(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        stream=situations,
+        drift=st.sampled_from(["none", "geometric", "exponential"]),
+        primary_classes=st.sampled_from(CLASS_SETS),
+        reader_classes=st.lists(st.sampled_from(CLASS_SETS), min_size=1, max_size=3),
+        ties=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+    )
+    def test_reads_match_standalone_models(
+        self, stream, drift, primary_classes, reader_classes, ties
+    ):
+        primary_cfg = SostConfig(drift=drift, classes=primary_classes)
+        configs = [primary_cfg, SostConfig(drift="none", classes=primary_classes)]
+        configs += [SostConfig(drift=drift, classes=c, enable_trend=False) for c in reader_classes]
+        store = SocialTree(frozenset().union(*(c.classes for c in configs)))
+        shared = [SostModel("me", FRIENDS, config=c, social=store) for c in configs]
+        alone = [SostModel("me", FRIENDS, config=c) for c in configs]
+        tie = dict(zip(FRIENDS, ties))
+        for model in shared + alone:
+            model.tie_mass = tie
+
+        ts = T0
+        for users, venue, step in stream:
+            ts += step
+            temporal = temporal_at(ts)
+            shared[0].record_social_context(users, venue, ts, temporal=temporal)
+            for model in alone:
+                model.record_social_context(users, venue, ts)
+        assert shared[0].influencers == alone[0].influencers
+
+        now = ts + 5 * HOUR
+        cells = {temporal_at(T0 + step) for _, _, step in stream} | {temporal_at(ts)}
+        for a, b in zip(shared, alone):
+            for temporal in cells:
+                for users_now in (None, {"f1"}, {"me", "f2"}, {"me", "f1", "f3"}):
+                    assert a.social.venues_at(temporal, users_now, a.class_filter) == (
+                        b.social.venues_at(temporal, users_now)
+                    )
+                for venue in ("A", "B", "C"):
+                    assert self.visible(
+                        a, a.social.query_node(venue, temporal, a.class_filter), now
+                    ) == self.visible(b, b.social.query_node(venue, temporal), now)
+                    for users_now in ({"me", "f1"}, {"f2", "f3"}, set(CIRCLE)):
+                        for estimator in ("A", "B"):
+                            args = (venue, users_now, temporal, now, estimator)
+                            assert a.social_prob(*args) == b.social_prob(*args)
