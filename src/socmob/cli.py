@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -117,38 +116,26 @@ def _cmd_stats(args) -> int:
 
 def _cmd_homophily(args) -> int:
     ds = _load(args)
-    histories = ds.histories()
+    index = homophily.index_histories(ds.histories())
     scheme = homophily.WeightScheme(kind=args.weight)
-    pairs = []
+    lines = ["user_a,user_b,value"]
     with open(args.pairs, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
-            if line:
-                a, _, b = line.partition(",")
-                pairs.append((a.strip(), b.strip()))
-    lines = ["user_a,user_b,value"]
-
-    def one(pair):
-        a, b = pair
-        ha = histories.get(a, [])
-        hb = histories.get(b, [])
-        if args.measure == "col":
-            return homophily.colocation_count(ha, hb, scheme=scheme, venues=ds.venues)
-        if args.measure == "scol":
-            return homophily.scol_rate(ha, hb, span=ds.span())
-        if args.measure == "scos":
-            return homophily.spatial_cosine(ha, hb, scheme=scheme, venues=ds.venues)
-        return homophily.social_situation_rate(ha, hb, scheme=scheme, venues=ds.venues)
-
-    if args.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            values = list(pool.map(one, pairs))
-    else:
-        values = [one(p) for p in pairs]
-    for (a, b), val in zip(pairs, values):
-        lines.append(f"{a},{b},{val!r}")
+            if not line:
+                continue
+            a, _, b = line.partition(",")
+            a, b = a.strip(), b.strip()
+            ia, ib = index.get(a, ()), index.get(b, ())
+            if args.measure == "col":
+                val = homophily.colocation_count(ia, ib, scheme=scheme, venues=ds.venues)
+            elif args.measure == "scol":
+                val = homophily.scol_rate(ia, ib, span=ds.span())
+            elif args.measure == "scos":
+                val = homophily.spatial_cosine(ia, ib, scheme=scheme, venues=ds.venues)
+            else:
+                val = homophily.social_situation_rate(ia, ib, scheme=scheme, venues=ds.venues)
+            lines.append(f"{a},{b},{val!r}")
     _out("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -184,11 +171,11 @@ def _cmd_correlate(args) -> int:
     sample = correlation_mod.sample_pairs(
         population, args.sample_size, source=args.source, seed=args.seed, subgroups=subgroups
     )
-    span = ds.span()
+    index = homophily.index_histories(histories)
     homos: dict[str, list[float]] = {"scos": [], "srate": []}
     cohs: dict[str, list[float]] = {"cn": [], "aa": [], "jacc": [], "doc": []}
     for a, b in sample.pairs:
-        ha, hb = histories.get(a, []), histories.get(b, [])
+        ha, hb = index.get(a, ()), index.get(b, ())
         try:
             homos["scos"].append(homophily.spatial_cosine(ha, hb))
         except NoData:
@@ -280,32 +267,47 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
+_PER_USER_FIELDS = (
+    "user",
+    "scored",
+    "st_accuracy",
+    "sost_accuracy",
+    "improvement",
+    "situation_rate",
+    "degree",
+    "entropy",
+    "n_locations",
+    "influencers",
+)
+
+
+def _read_report(path: str) -> dict:
+    """An evaluation report, checked for the fields `report` reads."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ParseError(f"report is not JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ParseError("report: expected a JSON object")
+    rows = data.get("per_user", [])
+    if not isinstance(rows, list):
+        raise ParseError("report: per_user must be a list")
+    for n, row in enumerate(rows):
+        missing = [k for k in _PER_USER_FIELDS if not isinstance(row, dict) or k not in row]
+        if missing:
+            raise ParseError(f"report: per_user row {n} lacks {', '.join(missing)}")
+    hours = data.get("per_hour_shares", {})
+    if not isinstance(hours, dict) or not all(isinstance(v, list) for v in hours.values()):
+        raise ParseError("report: per_hour_shares must map day classes to lists")
+    return data
+
+
 def _cmd_report(args) -> int:
-    with open(args.eval, encoding="utf-8") as fh:
-        data = json.load(fh)
-    per_user = data.get("per_user", [])
-    lines = [
-        "user,scored,st_accuracy,sost_accuracy,improvement,situation_rate,degree,"
-        "entropy,n_locations,influencers"
-    ]
-    for row in per_user:
-        lines.append(
-            ",".join(
-                str(row[k])
-                for k in (
-                    "user",
-                    "scored",
-                    "st_accuracy",
-                    "sost_accuracy",
-                    "improvement",
-                    "situation_rate",
-                    "degree",
-                    "entropy",
-                    "n_locations",
-                    "influencers",
-                )
-            )
-        )
+    data = _read_report(args.eval)
+    lines = [",".join(_PER_USER_FIELDS)]
+    for row in data.get("per_user", []):
+        lines.append(",".join(str(row[k]) for k in _PER_USER_FIELDS))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "per_user.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -340,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Check-in analytics: homophily, cohesion, and social next-location prediction",
     )
     parser.add_argument("--config", help="key = value config file; flags override it")
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="validate and normalize a corpus")
@@ -455,6 +456,8 @@ def _splice_config(argv: list[str]) -> list[str]:
     override the file values.
     """
     idx = argv.index("--config")
+    if idx + 1 == len(argv):
+        raise ValueError("--config expects a file path")
     file_values = _read_config_file(argv[idx + 1])
     argv = argv[:idx] + argv[idx + 2 :]
     extra: list[str] = []
@@ -476,7 +479,7 @@ def main(argv: list[str] | None = None) -> int:
     if "--config" in argv:
         try:
             argv = _splice_config(argv)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             return _fail(exc, EXIT_USAGE)
         except ParseError as exc:
             return _fail(exc, EXIT_PARSE)

@@ -48,10 +48,10 @@ class CheckIn:
     def __post_init__(self):
         if not math.isfinite(self.timestamp) or self.timestamp < 0:
             raise ValueError(f"timestamp must be finite and >= 0, got {self.timestamp}")
-        if abs(self.lat) > 90.0:
-            raise ValueError(f"|lat| must be <= 90, got {self.lat}")
-        if abs(self.lon) > 180.0:
-            raise ValueError(f"|lon| must be <= 180, got {self.lon}")
+        if not (math.isfinite(self.lat) and abs(self.lat) <= 90.0):
+            raise ValueError(f"lat must be finite with |lat| <= 90, got {self.lat}")
+        if not (math.isfinite(self.lon) and abs(self.lon) <= 180.0):
+            raise ValueError(f"lon must be finite with |lon| <= 180, got {self.lon}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -273,26 +273,12 @@ def home_location(history: Sequence[CheckIn], cell_m: float = 500.0) -> tuple[fl
     return (lat, lon)
 
 
-def visit_counts(history: Sequence[CheckIn]) -> dict[str, int]:
-    """Per-venue visit counts of one user's history."""
-    counts: dict[str, int] = {}
-    for ci in history:
-        counts[ci.venue_id] = counts.get(ci.venue_id, 0) + 1
-    return counts
-
-
 def histories_by_user(checkins: Sequence[CheckIn]) -> dict[str, list[CheckIn]]:
     """Split a time-sorted check-in stream into per-user histories."""
     out: dict[str, list[CheckIn]] = {}
     for ci in checkins:
         out.setdefault(ci.user_id, []).append(ci)
     return out
-
-
-def require_sorted(history: Sequence[CheckIn]) -> None:
-    for a, b in zip(history, history[1:]):
-        if a.timestamp > b.timestamp:
-            raise ValueError("history is not sorted by timestamp")
 
 
 def group_by_venue(history: Sequence[CheckIn]) -> Mapping[str, list[int]]:

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the checks that raise
+ParseError for model dumps."""
+
+import json
 
 
 class SocmobError(Exception):
@@ -47,3 +50,28 @@ class ConfigError(SocmobError):
 
 class UnsupportedScheme(SocmobError):
     """A weighting scheme that is named but deliberately not implemented."""
+
+
+def dump_field(data, key: str, kind: type | tuple[type, ...], where: str):
+    """``data[key]`` of a model dump, checked to be a ``kind``.
+
+    A missing field, a ``data`` that is not an object, or a value of
+    another type (booleans are not numbers here) raises ParseError naming
+    ``where`` in the dump.
+    """
+    if not isinstance(data, dict):
+        raise ParseError(f"{where}: expected an object, got {type(data).__name__}")
+    if key not in data:
+        raise ParseError(f"{where}: missing field {key!r}")
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ParseError(f"{where}: field {key!r} has type {type(value).__name__}")
+    return value
+
+
+def parse_dump(text: str):
+    """The JSON value of a model dump; ParseError when it is not JSON."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"model dump is not JSON: {exc}") from None

@@ -26,9 +26,16 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .core import CheckIn, TemporalContext, WEEK_SECONDS
-from .errors import ConfigError, ModelEmpty
-from .homophily import WeightScheme, colocation_count
-from .vomm import ContextKey, ContextTree, MergedContextView, TreeConfig, temporal_labels
+from .errors import ConfigError, ModelEmpty, ParseError, dump_field, parse_dump
+from .homophily import MobilityIndex, WeightScheme, colocation_count
+from .vomm import (
+    ContextKey,
+    ContextTree,
+    MergedContextView,
+    TreeConfig,
+    decode_label,
+    temporal_labels,
+)
 
 HOUR_SECONDS = 3_600
 
@@ -159,11 +166,11 @@ def tie_strength_map(
     the second return value is False when no friend has any overlap (the
     all-zero case).
     """
-    hist_t = histories.get(target, ())
+    index_t = MobilityIndex(histories.get(target, ()))
     masses: dict[str, float] = {}
     for j in sorted(neighbors):
         masses[j] = colocation_count(
-            hist_t, histories.get(j, ()), window=window, scheme=scheme, venues=venues
+            index_t, histories.get(j, ()), window=window, scheme=scheme, venues=venues
         )
     total = sum(masses.values())
     if total <= 0.0:
@@ -426,27 +433,43 @@ class SocialTree:
         their records load with no class, so that only readers without a
         class filter see them; the counter stands in for the hit count,
         and records and nodes keep the dump's order.
+        A malformed dump raises ParseError.
         """
-        version = data.get("version")
-        if data.get("format") != "socmob-social-tree" or version not in (1, 2):
+        version = data.get("version") if isinstance(data, dict) else None
+        if version not in (1, 2) or data.get("format") != "socmob-social-tree":
             raise ValueError("not a version-1 or version-2 social tree dump")
 
-        def dec(payload: dict) -> _SocialNode:
+        def dec_record(entry) -> InfluenceRecord:
+            users = dump_field(entry, "users", list, "record")
+            if not all(isinstance(u, str) for u in users):
+                raise ParseError("record: users must be strings")
+            users = frozenset(users)
+            last_seen = dump_field(entry, "t", int, "record")
+            try:
+                counter = float(dump_field(entry, "c", str, "record"))
+            except ValueError:
+                raise ParseError(f"record: bad counter {entry['c']!r}") from None
+            if version == 1:
+                return InfluenceRecord(users, last_seen, counter, None, counter)
+            return InfluenceRecord(
+                users,
+                last_seen,
+                counter,
+                dump_field(entry, "cls", (str, type(None)), "record"),
+                dump_field(entry, "h", int, "record"),
+                dump_field(entry, "n", int, "record"),
+            )
+
+        def dec(payload, is_root: bool = False) -> _SocialNode:
             node = _SocialNode()
-            for entry in payload["r"]:
-                users = frozenset(entry["users"])
-                counter = float(entry["c"])
-                if version == 1:
-                    rec = InfluenceRecord(users, entry["t"], counter, None, counter)
-                else:
-                    rec = InfluenceRecord(
-                        users, entry["t"], counter, entry["cls"], entry["h"], entry["n"]
-                    )
-                node.records[users] = rec
+            for entry in dump_field(payload, "r", list, "social tree node"):
+                rec = dec_record(entry)
+                node.records[rec.users] = rec
+            if version == 2 and not is_root and not node.records:
+                raise ParseError("social tree node: a version-2 node needs a record")
             children = {}
-            for key, child in payload["k"].items():
-                kind, _, value = key.partition(":")
-                children[(kind, value if kind == "L" else int(value))] = dec(child)
+            for key, child in dump_field(payload, "k", dict, "social tree node").items():
+                children[decode_label(key)] = dec(child)
             if version == 1:
                 node.children = children
             else:
@@ -459,8 +482,11 @@ class SocialTree:
                 )
             return node
 
-        tree = cls(data.get("classes", ALL_CLASSES))
-        tree.root = dec(data["root"])
+        classes = data.get("classes", sorted(ALL_CLASSES))
+        if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
+            raise ParseError("social tree: classes must be a list of strings")
+        tree = cls(classes)
+        tree.root = dec(dump_field(data, "root", dict, "social tree"), is_root=True)
         tree.n_records = sum(1 for _ in _walk_records(tree.root))
         for (_, venue), vnode in tree.root.children.items():
             for wlab, wnode in vnode.children.items():
@@ -475,7 +501,7 @@ class SocialTree:
 
     @classmethod
     def loads(cls, text: str) -> "SocialTree":
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(parse_dump(text))
 
 
 def _walk_records(node: _SocialNode):

@@ -26,7 +26,7 @@ from .core import (
     TemporalContext,
     WEEKEND,
 )
-from .errors import ModelEmpty
+from .errors import ModelEmpty, ParseError, dump_field, parse_dump
 
 Label = tuple[str, object]
 Context = tuple[Label, ...]
@@ -209,18 +209,22 @@ class ContextTree:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ContextTree":
-        if data.get("format") != "socmob-context-tree" or data.get("version") != 1:
+        """Rebuild a dumped tree; a malformed dump raises ParseError."""
+        is_dump = isinstance(data, dict) and data.get("format") == "socmob-context-tree"
+        if not is_dump or data.get("version") != 1:
             raise ValueError("not a version-1 context tree dump")
-        cfg = data["config"]
-        tree = cls(
-            TreeConfig(
-                kappa=cfg["kappa"],
-                slot_hours=cfg["slot_hours"],
-                utc_offset_hours=cfg["utc_offset_hours"],
+        cfg = dump_field(data, "config", dict, "context tree")
+        try:
+            config = TreeConfig(
+                kappa=dump_field(cfg, "kappa", int, "config"),
+                slot_hours=dump_field(cfg, "slot_hours", int, "config"),
+                utc_offset_hours=dump_field(cfg, "utc_offset_hours", (int, float), "config"),
             )
-        )
-        tree.root = _decode_node(data["root"])
-        tree.n_events = data["n_events"]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"config: {exc}") from None
+        tree = cls(config)
+        tree.root = _decode_node(dump_field(data, "root", dict, "context tree"))
+        tree.n_events = dump_field(data, "n_events", int, "context tree")
         return tree
 
     def dumps(self) -> str:
@@ -228,7 +232,7 @@ class ContextTree:
 
     @classmethod
     def loads(cls, text: str) -> "ContextTree":
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(parse_dump(text))
 
 
 def _encode_label(label: Label) -> str:
@@ -236,9 +240,16 @@ def _encode_label(label: Label) -> str:
     return f"{kind}:{value}"
 
 
-def _decode_label(text: str) -> Label:
+def decode_label(text: str) -> Label:
+    """A context label from its dump form ``kind:value``; ParseError when a
+    calendar label's value is not an integer."""
     kind, _, value = text.partition(":")
-    return (kind, value if kind == "L" else int(value))
+    if kind == "L":
+        return (kind, value)
+    try:
+        return (kind, int(value))
+    except ValueError:
+        raise ParseError(f"bad context label {text!r}") from None
 
 
 def _encode_node(node: _Node) -> dict:
@@ -253,8 +264,11 @@ def _encode_node(node: _Node) -> dict:
 
 def _decode_node(data: dict) -> _Node:
     node = _Node()
-    node.counts = dict(data["c"])
-    node.children = {_decode_label(k): _decode_node(v) for k, v in data["k"].items()}
+    node.counts = dict(dump_field(data, "c", dict, "context tree node"))
+    if not all(isinstance(n, int) and not isinstance(n, bool) for n in node.counts.values()):
+        raise ParseError("context tree node: counts must be integers")
+    children = dump_field(data, "k", dict, "context tree node")
+    node.children = {decode_label(k): _decode_node(v) for k, v in children.items()}
     return node
 
 

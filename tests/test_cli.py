@@ -240,3 +240,31 @@ class TestErrorsAndConfig:
         conf = tmp_path / "run.conf"
         conf.write_text("not a valid line\n")
         assert run(["--config", conf, "bounds", "--entropy", 1, "--locations", 5]) == 3
+
+    def test_config_without_a_path_is_a_usage_error(self, corpus_dir, capsys):
+        ds = ["--checkins", corpus_dir / "checkins.csv", "--edges", corpus_dir / "edges.csv"]
+        assert run(["stats", *ds, "--config"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "--config" in json.loads(err[0])["message"]
+
+
+class TestReportErrors:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"per_user": [{"user": "x"}]}',
+            '{"per_user": ["x"]}',
+            '{"per_user": {}}',
+            '{"per_hour_shares": {"workday": 3}}',
+            "[1, 2]",
+            "this is not JSON",
+        ],
+        ids=["missing-key", "row-not-object", "rows-not-list", "hours-not-lists",
+             "not-object", "not-json"],
+    )
+    def test_bad_report_is_a_parse_error(self, tmp_path, capsys, text):
+        bad = tmp_path / "report.json"
+        bad.write_text(text)
+        assert run(["report", "--eval", bad, "--out", tmp_path / "out"]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "ParseError"

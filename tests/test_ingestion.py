@@ -66,6 +66,14 @@ class TestLoading:
             load_checkins(cp)
         assert err.value.line_no == 2
 
+    @pytest.mark.parametrize("lat,lon", [("nan", "2"), ("1", "inf"), ("-inf", "2"), ("1", "NaN")])
+    def test_non_finite_coordinates_rejected_with_line_number(self, tmp_path, lat, lon):
+        cp = tmp_path / "c.csv"
+        cp.write_text(f"user_id,venue_id,timestamp,lat,lon\na,v1,10,1,2\na,v1,20,{lat},{lon}\n")
+        with pytest.raises(ParseError) as err:
+            load_checkins(cp)
+        assert err.value.line_no == 3
+
     def test_bad_header(self, tmp_path):
         cp = tmp_path / "c.csv"
         cp.write_text("wrong,header\n")

@@ -1,23 +1,9 @@
-import importlib
 import random
 
+import numpy as np
 import pytest
 
-from socmob import _kernels_py
-
-
-def _backends():
-    out = [("python", _kernels_py)]
-    try:
-        from socmob import _ckernels
-
-        out.append(("cython", _ckernels))
-    except ImportError:
-        pass
-    return out
-
-
-BACKENDS = _backends()
+from socmob import kernels
 
 
 def brute_count(a, b, window):
@@ -33,25 +19,60 @@ def brute_weighted(a, b, window, wa, wb):
     )
 
 
-@pytest.mark.parametrize("name,impl", BACKENDS)
+def per_element(a, b, window):
+    return kernels.count_pairs_within(kernels.window_queries(a, window), b).tolist()
+
+
+def count(a, b, window):
+    return sum(per_element(a, b, window))
+
+
+def weighted(a, b, window, wa, wb):
+    queries = kernels.window_queries(a, window)
+    return kernels.count_pairs_within_weighted(queries, b, np.array(wa), kernels.prefix_sum(wb))
+
+
 class TestKernels:
-    def test_empty(self, name, impl):
-        assert impl.count_pairs_within([], [1, 2], 10) == 0
-        assert impl.count_pairs_within([1], [], 10) == 0
+    def test_empty(self):
+        assert count([], [1, 2], 10) == 0
+        assert count([1], [], 10) == 0
+        assert per_element([], [], 0) == []
+        assert weighted([], [1, 2], 10, [], [1.0, 1.0]) == 0.0
+        assert weighted([1], [], 10, [1.0], []) == 0.0
 
-    def test_simple(self, name, impl):
-        assert impl.count_pairs_within([0, 10], [5, 100], 5) == 2
-        assert impl.count_pairs_within([0], [6], 5) == 0
+    def test_simple(self):
+        assert count([0, 10], [5, 100], 5) == 2
+        assert count([0], [6], 5) == 0
 
-    def test_random_vs_brute_force(self, name, impl):
+    def test_window_zero_counts_equal_timestamps_only(self):
+        assert per_element([5, 6, 5], [4, 5, 5, 6], 0) == [2, 1, 2]
+        assert weighted([5], [4, 5, 5], 0, [2.0], [1.0, 0.5, 0.25]) == 1.5
+
+    def test_equal_timestamps_at_window_edge(self):
+        # both edges are inclusive, and every copy of an edge timestamp counts
+        assert per_element([10], [7, 7, 10, 13, 13, 14], 3) == [5]
+        assert count([10, 10], [7, 13], 3) == 4
+        assert count([10], [6, 14], 3) == 0
+
+    def test_queries_in_any_order(self):
+        b = [1, 4, 4, 9, 20]
+        a = [20, 0, 9, 4]
+        assert per_element(a, b, 3) == [brute_count([x], b, 3) for x in a]
+
+    def test_negative_window_rejected(self):
+        with pytest.raises(ValueError):
+            kernels.window_queries([1], -1)
+
+    def test_random_vs_brute_force(self):
         rng = random.Random(99)
         for _ in range(60):
             a = sorted(rng.randrange(0, 500) for _ in range(rng.randrange(0, 40)))
             b = sorted(rng.randrange(0, 500) for _ in range(rng.randrange(0, 40)))
             w = rng.randrange(0, 80)
-            assert impl.count_pairs_within(a, b, w) == brute_count(a, b, w)
+            assert per_element(a, b, w) == [brute_count([x], b, w) for x in a]
+            assert count(a, b, w) == brute_count(a, b, w)
 
-    def test_weighted_vs_brute_force(self, name, impl):
+    def test_weighted_vs_brute_force(self):
         rng = random.Random(7)
         for _ in range(40):
             n, m = rng.randrange(0, 25), rng.randrange(0, 25)
@@ -60,28 +81,14 @@ class TestKernels:
             wa = [rng.random() for _ in range(n)]
             wb = [rng.random() for _ in range(m)]
             w = rng.randrange(0, 60)
-            assert impl.count_pairs_within_weighted(a, b, w, wa, wb) == pytest.approx(
+            assert weighted(a, b, w, wa, wb) == pytest.approx(
                 brute_weighted(a, b, w, wa, wb), abs=1e-9
             )
 
 
-def test_backends_agree():
-    if len(BACKENDS) < 2:
-        pytest.skip("compiled backend not built")
-    rng = random.Random(123)
-    py, cy = BACKENDS[0][1], BACKENDS[1][1]
-    for _ in range(50):
-        a = sorted(rng.randrange(0, 1000) for _ in range(rng.randrange(1, 80)))
-        b = sorted(rng.randrange(0, 1000) for _ in range(rng.randrange(1, 80)))
-        w = rng.randrange(0, 150)
-        assert py.count_pairs_within(a, b, w) == cy.count_pairs_within(a, b, w)
-
-
-def test_env_override_forces_python(monkeypatch):
-    monkeypatch.setenv("SOCMOB_PURE_PYTHON", "1")
-    import socmob.kernels as kernels
-
-    importlib.reload(kernels)
-    assert kernels.backend_name() == "python"
-    monkeypatch.delenv("SOCMOB_PURE_PYTHON")
-    importlib.reload(kernels)
+def test_prefix_sum_adds_in_sequence():
+    w = [0.1, 0.2, 0.3, 1e-17, 0.4]
+    expect = [0.0]
+    for x in w:
+        expect.append(expect[-1] + x)
+    assert kernels.prefix_sum(np.array(w)).tolist() == expect

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from socmob.core import TemporalContext
-from socmob.errors import ConfigError, ModelEmpty
+from socmob.errors import ConfigError, ModelEmpty, ParseError
 from socmob.homophily import WeightScheme
 from socmob.sost import (
     ALL_CLASSES,
@@ -315,6 +316,39 @@ class TestSocialTree:
     def test_rejects_other_formats(self):
         with pytest.raises(ValueError):
             SocialTree.from_dict({"format": "socmob-social-tree", "version": 3, "root": {}})
+
+    @pytest.mark.parametrize(
+        "root",
+        [
+            None,  # no root at all
+            {"r": [{"users": ["me"], "t": 1, "cls": "I", "h": 1, "n": 0}], "k": {}},  # no "c"
+            {"r": [], "k": {"L:V": {"r": [], "k": {}}}},  # a node without a record
+            {"r": [], "k": {"W:x": {"r": [{"users": ["me"], "t": 1, "c": "1.0", "cls": "I",
+                                           "h": 1, "n": 0}], "k": {}}}},  # bad label
+            {"r": [{"users": "me", "t": 1, "c": "1.0", "cls": "I", "h": 1, "n": 0}], "k": {}},
+            {"r": [{"users": ["me"], "t": "1", "c": "1.0", "cls": "I", "h": 1, "n": 0}], "k": {}},
+            {"r": [{"users": ["me"], "t": 1, "c": "x", "cls": "I", "h": 1, "n": 0}], "k": {}},
+            {"r": [{"users": ["me"], "t": 1, "c": "1.0", "cls": 3, "h": 1, "n": 0}], "k": {}},
+            {"r": {}, "k": {}},
+            [],
+        ],
+    )
+    def test_malformed_dump_is_a_parse_error(self, root):
+        dump = {"format": "socmob-social-tree", "version": 2, "classes": ["I"]}
+        if root is not None:
+            dump["root"] = root
+        with pytest.raises(ParseError):
+            SocialTree.loads(json.dumps(dump))
+
+    def test_malformed_version_1_dump_and_bad_json_are_parse_errors(self):
+        v1 = {"format": "socmob-social-tree", "version": 1,
+              "root": {"r": [{"users": ["me"], "t": 1}], "k": {}}}
+        with pytest.raises(ParseError):
+            SocialTree.from_dict(v1)
+        with pytest.raises(ParseError):
+            SocialTree.from_dict({**v1, "classes": "I"})
+        with pytest.raises(ParseError):
+            SocialTree.loads("{")
 
 
 class TestEffectiveCounter:

@@ -1,7 +1,7 @@
 import pytest
 
 from socmob.core import TemporalContext
-from socmob.errors import ModelEmpty
+from socmob.errors import ModelEmpty, ParseError
 from socmob.vomm import (
     ContextKey,
     ContextTree,
@@ -328,6 +328,31 @@ class TestSerialization:
     def test_version_check(self):
         with pytest.raises(ValueError):
             ContextTree.from_dict({"format": "socmob-context-tree", "version": 99})
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"format": "socmob-context-tree", "version": 1}',
+            '{"format": "socmob-context-tree", "version": 1, "config": [], '
+            '"n_events": 0, "root": {"c": {}, "k": {}}}',
+            '{"format": "socmob-context-tree", "version": 1, "config": {"kappa": 3, '
+            '"slot_hours": 0, "utc_offset_hours": 0}, "n_events": 0, "root": {"c": {}, "k": {}}}',
+            '{"format": "socmob-context-tree", "version": 1, "config": {"kappa": 3, '
+            '"slot_hours": 1, "utc_offset_hours": 0}, "n_events": 0, "root": {"c": {}}}',
+            '{"format": "socmob-context-tree", "version": 1, "config": {"kappa": 3, '
+            '"slot_hours": 1, "utc_offset_hours": 0}, "n_events": "0", "root": {"c": {}, "k": {}}}',
+            '{"format": "socmob-context-tree", "version": 1, "config": {"kappa": 3, '
+            '"slot_hours": 1, "utc_offset_hours": 0}, "n_events": 1, '
+            '"root": {"c": {"A": 1}, "k": {"D:x": {"c": {}, "k": {}}}}}',
+            '{"format": "socmob-context-tree", "version": 1, "config": {"kappa": 3, '
+            '"slot_hours": 1, "utc_offset_hours": 0}, "n_events": 1, '
+            '"root": {"c": {"A": "1"}, "k": {}}}',
+            "{not json",
+        ],
+    )
+    def test_malformed_dump_is_a_parse_error(self, text):
+        with pytest.raises(ParseError):
+            ContextTree.loads(text)
 
 
 class TestMergedView:
