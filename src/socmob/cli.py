@@ -45,6 +45,19 @@ _ERROR_CODES = (
 )
 
 
+class UsageError(Exception):
+    """A command line that the argument parser rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError instead of printing usage text and exiting, so
+    that `main` reports a bad command line as one JSON record; subparsers
+    inherit the class."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def _fail(exc: Exception, code: int) -> int:
     record = {"error": type(exc).__name__, "message": str(exc)}
     print(json.dumps(record), file=sys.stderr)
@@ -337,7 +350,7 @@ def _cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="socmob",
         description="Check-in analytics: homophily, cohesion, and social next-location prediction",
     )
@@ -450,16 +463,24 @@ _SUBCOMMANDS = (
 
 
 def _splice_config(argv: list[str]) -> list[str]:
-    """Turn `--config FILE` into flags inserted right after the subcommand.
+    """Turn `--config FILE` or `--config=FILE` into flags inserted right
+    after the subcommand.
 
     Flags written by the user come later on the line and therefore
     override the file values.
     """
-    idx = argv.index("--config")
-    if idx + 1 == len(argv):
-        raise ValueError("--config expects a file path")
-    file_values = _read_config_file(argv[idx + 1])
-    argv = argv[:idx] + argv[idx + 2 :]
+    for idx, token in enumerate(argv):
+        if token == "--config":
+            if idx + 1 == len(argv):
+                raise ValueError("--config expects a file path")
+            path, argv = argv[idx + 1], argv[:idx] + argv[idx + 2 :]
+            break
+        if token.startswith("--config="):
+            path, argv = token[len("--config=") :], argv[:idx] + argv[idx + 1 :]
+            break
+    else:
+        return argv
+    file_values = _read_config_file(path)
     extra: list[str] = []
     for key, value in file_values.items():
         if value.lower() == "false":
@@ -476,16 +497,13 @@ def _splice_config(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
-    if "--config" in argv:
-        try:
-            argv = _splice_config(argv)
-        except (OSError, ValueError) as exc:
-            return _fail(exc, EXIT_USAGE)
-        except ParseError as exc:
-            return _fail(exc, EXIT_PARSE)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = parser.parse_args(_splice_config(argv))
+    except (OSError, ValueError, UsageError) as exc:
+        return _fail(exc, EXIT_USAGE)
+    except ParseError as exc:
+        return _fail(exc, EXIT_PARSE)
+    except SystemExit as exc:  # --help
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)

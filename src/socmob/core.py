@@ -168,8 +168,8 @@ class TemporalContext:
         slot_hours: int = 1,
         utc_offset_hours: float = DEFAULT_UTC_OFFSET_HOURS,
     ) -> "TemporalContext":
-        if 24 % slot_hours != 0:
-            raise ValueError(f"slot_hours must divide 24, got {slot_hours}")
+        if slot_hours <= 0 or 24 % slot_hours != 0:
+            raise ValueError(f"slot_hours must be a positive divisor of 24, got {slot_hours}")
         local = int(timestamp + round(utc_offset_hours * SECONDS_PER_HOUR))
         day = local // SECONDS_PER_DAY
         # The epoch fell on a Thursday; index days with Sunday = 0.

@@ -15,7 +15,9 @@ filter and drift setting.
 
 from __future__ import annotations
 
+import gc
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
@@ -222,6 +224,28 @@ def _class_variants(config: SostConfig) -> list[tuple[str, SostConfig]]:
     ]
 
 
+@contextmanager
+def _gc_paused():
+    """Suspend automatic cyclic garbage collection; restore the caller's
+    setting on exit, also when the body raises."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+# The prequential loop builds hundreds of thousands of long-lived objects
+# that form no reference cycles: context-tree nodes, social-store nodes and
+# influence records.  Every time they grow the tracked heap by a quarter,
+# CPython re-traverses all of it in a full collection.  On the `analytics`
+# benchmark corpus (seed 1, 3,867 check-ins; CPython 3.11 on a 2-vCPU
+# virtual machine) one call made 668-670 collections, 4-5 of them full,
+# costing 0.43-0.52 s of a 1.2-1.4 s call, and they freed no object.
+# Reference counting frees what the loop built when evaluate returns.
+@_gc_paused()
 def evaluate(
     dataset: Dataset,
     config: SostConfig | None = None,

@@ -14,7 +14,6 @@ friendship graph, and marks the active users (those with at least
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -163,7 +162,11 @@ def build_dataset(
         prev = coords.get(ci.venue_id)
         if prev is None:
             coords[ci.venue_id] = (ci.lat, ci.lon)
-        elif haversine_km(prev[0], prev[1], ci.lat, ci.lon) * 1000.0 > 1.0:
+        elif (
+            # identical coordinates are 0 m apart: skip the trigonometry
+            prev != (ci.lat, ci.lon)
+            and haversine_km(prev[0], prev[1], ci.lat, ci.lon) * 1000.0 > 1.0
+        ):
             raise IntegrityError(
                 f"venue {ci.venue_id!r} appears with conflicting coordinates"
             )
@@ -306,23 +309,3 @@ def descriptive_stats(
 def stats_to_json(stats: dict) -> str:
     return json.dumps(stats, indent=2, sort_keys=True)
 
-
-def dataset_from_strings(checkin_csv: str, edge_csv: str, config: IngestConfig | None = None) -> Dataset:
-    """Test helper: build a dataset from CSV text blobs."""
-    checkins: list[CheckIn] = []
-    reader = csv.reader(io.StringIO(checkin_csv.strip()))
-    header = next(reader, None)
-    if header and [h.strip() for h in header] != CHECKIN_HEADER:
-        raise ParseError(f"bad check-in header {header!r}", line_no=1)
-    for row in reader:
-        if row:
-            checkins.append(
-                CheckIn(row[0], row[1], int(row[2]), float(row[3]), float(row[4]))
-            )
-    edges: set[tuple[str, str]] = set()
-    reader = csv.reader(io.StringIO(edge_csv.strip()))
-    header = next(reader, None)
-    for row in reader:
-        if row:
-            edges.add((min(row[0], row[1]), max(row[0], row[1])))
-    return build_dataset(checkins, edges, config)

@@ -654,31 +654,14 @@ class SostModel:
         """
         if not users_now or len(users_now) < 2:
             return None
-        probs = {
-            q: self.social_prob(q, users_now, temporal, now=now) for q in candidates
-        }
+        # a venue without a slot node in this temporal cell scores 0.0
+        probs = dict.fromkeys(candidates, 0.0)
+        for q in self.social._cells.get(temporal_labels(temporal), {}):
+            if q in probs:
+                probs[q] = self.social_prob(q, users_now, temporal, now=now)
         if all(p <= 0.0 for p in probs.values()):
             return None
         return probs
-
-    def combined_prob(
-        self,
-        st_tree: ContextTree,
-        venue: str,
-        users_now: frozenset[str] | None,
-        prev_venues: Sequence[str],
-        timestamp: int,
-    ) -> float:
-        """Product of the social factor and the individual-mobility term."""
-        key = st_tree.key(prev_venues, timestamp)
-        dist, unseen = st_tree.distribution(key, candidates=(venue,))
-        individual = dist[venue]
-        cands = set(st_tree.alphabet) | set(
-            self.social.venues_at(key.temporal, classes=self.class_filter)
-        )
-        cands.add(venue)
-        factors = self.social_factors(cands, users_now, key.temporal, now=timestamp)
-        return individual if factors is None else factors[venue] * individual
 
     # -- prediction ----------------------------------------------------------
 

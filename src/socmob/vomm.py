@@ -43,8 +43,8 @@ class TreeConfig:
     def __post_init__(self):
         if self.kappa < 0:
             raise ValueError("kappa must be >= 0")
-        if 24 % self.slot_hours != 0:
-            raise ValueError("slot_hours must divide 24")
+        if self.slot_hours <= 0 or 24 % self.slot_hours != 0:
+            raise ValueError("slot_hours must be a positive divisor of 24")
 
     def temporal(self, timestamp: int) -> TemporalContext:
         return TemporalContext.from_timestamp(
@@ -220,7 +220,7 @@ class ContextTree:
                 slot_hours=dump_field(cfg, "slot_hours", int, "config"),
                 utc_offset_hours=dump_field(cfg, "utc_offset_hours", (int, float), "config"),
             )
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ParseError(f"config: {exc}") from None
         tree = cls(config)
         tree.root = _decode_node(dump_field(data, "root", dict, "context tree"))

@@ -213,8 +213,27 @@ class TestErrorsAndConfig:
         code = run(["stats", "--checkins", bad, "--edges", edges])
         assert code == 3
 
-    def test_unknown_flag_exit_code(self):
+    def test_unknown_flag_exit_code(self, capsys):
         assert run(["bounds", "--entropy", 1.0, "--locations", 5, "--bogus"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "--bogus" in json.loads(err[0])["message"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["bounds", "--bogus"], ["bounds", "--entropy", "x", "--locations", 5],
+         ["evaluate", "--checkins", "c", "--edges", "e", "--drift", "bogus"], []],
+        ids=["unknown-flag", "bad-type", "bad-choice", "no-command"],
+    )
+    def test_usage_errors_are_one_json_line(self, capsys, argv):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert captured.out == "" and len(err) == 1
+        assert json.loads(err[0])["error"] == "UsageError"
+
+    def test_help_exits_zero(self, capsys):
+        assert run(["bounds", "--help"]) == 0
+        assert "--entropy" in capsys.readouterr().out
 
     def test_no_data_exit_code(self, tmp_path, capsys):
         c = tmp_path / "c.csv"
@@ -223,6 +242,12 @@ class TestErrorsAndConfig:
         e.write_text("user_a,user_b\n")
         code = run(["evaluate", "--checkins", c, "--edges", e])
         assert code == 5
+
+    def test_zero_slot_hours_exit_code(self, corpus_dir, capsys):
+        ds = ["--checkins", corpus_dir / "checkins.csv", "--edges", corpus_dir / "edges.csv"]
+        assert run(["evaluate", *ds, "--slot-hours", 0]) == 5
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "slot_hours" in json.loads(err[0])["message"]
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"
@@ -235,6 +260,14 @@ class TestErrorsAndConfig:
             .fano_predictability(3.48, 10.0)[0],
             abs=1e-9,
         )
+
+    def test_config_file_with_equals_sign(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("entropy = 3.48\nlocations = 62\n")
+        assert run([f"--config={conf}", "bounds"]) == 0
+        by_equals = json.loads(capsys.readouterr().out)
+        assert run(["--config", conf, "bounds"]) == 0
+        assert by_equals == json.loads(capsys.readouterr().out)
 
     def test_config_file_parse_error(self, tmp_path):
         conf = tmp_path / "run.conf"

@@ -88,8 +88,9 @@ class TestTemporalContext:
             TemporalContext(day_class="workday", day_of_week=0, slot=0)
 
     def test_bad_slot_hours(self):
-        with pytest.raises(ValueError):
-            TemporalContext.from_timestamp(0, slot_hours=5)
+        for slot_hours in (5, 0, -1):
+            with pytest.raises(ValueError):
+                TemporalContext.from_timestamp(0, slot_hours=slot_hours)
 
 
 class TestEntropy:

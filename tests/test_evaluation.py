@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -168,6 +170,54 @@ class TestPrequential:
         assert report.bounds_inputs["new_location_fraction"] == pytest.approx(
             new / scored, abs=1e-12
         )
+
+
+class TestGcPause:
+    """`evaluate` runs without automatic cyclic collections and leaves the
+    collector as it found it."""
+
+    @staticmethod
+    def _collections(fn, *args, **kwargs) -> int:
+        """Collections that start while the body of `evaluate` runs (one may
+        follow on its return, when the collector is enabled again)."""
+        body = evaluate.__wrapped__.__code__
+        starts = []
+
+        def hook(phase, info):
+            frame = sys._getframe()
+            while phase == "start" and frame is not None:
+                if frame.f_code is body:
+                    starts.append(info["generation"])
+                    break
+                frame = frame.f_back
+
+        gc.callbacks.append(hook)
+        try:
+            fn(*args, **kwargs)
+        finally:
+            gc.callbacks.remove(hook)
+        return len(starts)
+
+    def test_no_automatic_collections(self, small_corpus):
+        ds, _ = small_corpus
+        assert gc.isenabled()
+        assert self._collections(evaluate, ds, SostConfig()) == 0
+        # the same loop without the pause does collect, so the hook sees them
+        assert self._collections(evaluate.__wrapped__, ds, SostConfig()) > 0
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_restored(self, enabled):
+        ds = periodic_corpus(n_users=2, days=3)
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            evaluate(ds, SostConfig())
+            assert gc.isenabled() is enabled
+            with pytest.raises(NoData):
+                evaluate(ds, SostConfig(), targets=[])
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was else gc.disable()
 
 
 class TestBreakdowns:

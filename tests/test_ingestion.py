@@ -7,7 +7,6 @@ from socmob.errors import IntegrityError, NoData, ParseError
 from socmob.ingestion import (
     IngestConfig,
     build_dataset,
-    dataset_from_strings,
     descriptive_stats,
     load_checkins,
     load_dataset,
@@ -202,7 +201,11 @@ class TestStats:
             descriptive_stats(ds)
 
 
-def test_dataset_from_strings():
-    ds = dataset_from_strings(CHECKIN_CSV, EDGE_CSV, IngestConfig(activity_threshold=1))
+def test_dataset_from_strings(tmp_path):
+    cp = tmp_path / "c.csv"
+    ep = tmp_path / "e.csv"
+    cp.write_text(CHECKIN_CSV)
+    ep.write_text(EDGE_CSV)
+    ds = load_dataset(cp, ep, IngestConfig(activity_threshold=1))
     assert len(ds.checkins) == 5
     assert ds.graph.has_edge("a", "b")

@@ -453,9 +453,11 @@ class TestCombinedAndPredict:
         tree, prev, ts = self._st_tree()
         model = SostModel("me", ["f"])
         key = tree.key(prev, ts)
-        dist, _ = tree.distribution(key)
-        for q in dist:
-            assert model.combined_prob(tree, q, None, prev, ts) == dist[q]
+        dist, unseen = tree.distribution(key)
+        assert model.social_factors(dist, None, key.temporal, now=ts) is None
+        outcome = model.rank_with(key, dist, unseen, ts, None)
+        assert not outcome.social_matched
+        assert outcome.prob == dist[outcome.venue] == max(dist.values())
 
     def test_product(self):
         tree, prev, ts = self._st_tree()
@@ -463,14 +465,17 @@ class TestCombinedAndPredict:
         model = SostModel("me", ["f"], config=cfg)
         model.tie_mass = {"f": 1.0}
         now = frozenset({"me", "f"})
-        temporal = tree.key(prev, ts).temporal
+        key = tree.key(prev, ts)
         # plant a record for symbol "A" at the current temporal context
         model.record_social_context(now, "A", ts)
-        factor = model.social_prob("A", now, temporal, now=ts)
-        individual = tree.prob("A", tree.key(prev, ts))
-        assert model.combined_prob(tree, "A", now, prev, ts) == pytest.approx(
-            factor * individual
-        )
+        factor = model.social_prob("A", now, key.temporal, now=ts)
+        individual = tree.prob("A", key)
+        dist, unseen = tree.distribution(key)
+        outcome = model.rank_with(key, dist, unseen, ts, now)
+        # "B" has no record here, so its factor is 0 and "A" wins
+        assert outcome.social_matched
+        assert outcome.venue == "A"
+        assert outcome.prob == pytest.approx(factor * individual)
 
     def test_predict_reduces_to_individual_without_social_data(self):
         tree, prev, ts = self._st_tree()
