@@ -35,13 +35,25 @@ EXIT_PARSE = 3
 EXIT_INTEGRITY = 4
 EXIT_NUMERIC = 5
 
+# What a subcommand raises, mapped to its exit code: the first entry whose
+# classes match wins, and anything else is a bug that keeps its traceback.
 _ERROR_CODES = (
     (ParseError, EXIT_PARSE),
     ((IntegrityError, UnknownNode), EXIT_INTEGRITY),
     (
-        (NoData, InsufficientSpan, DegenerateInput, ModelEmpty, ConfigError, UnsupportedScheme),
+        (
+            NoData,
+            InsufficientSpan,
+            DegenerateInput,
+            ModelEmpty,
+            ConfigError,
+            UnsupportedScheme,
+            ValueError,
+        ),
         EXIT_NUMERIC,
     ),
+    (OSError, EXIT_USAGE),
+    (SocmobError, EXIT_NUMERIC),
 )
 
 
@@ -350,9 +362,12 @@ def _cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no abbreviations at the top level: `_splice_config` reads only the
+    # full `--config` spelling, so `--conf FILE` must not reach it as one
     parser = _Parser(
         prog="socmob",
         description="Check-in analytics: homophily, cohesion, and social next-location prediction",
+        allow_abbrev=False,
     )
     parser.add_argument("--config", help="key = value config file; flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -507,24 +522,11 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except ParseError as exc:
-        return _fail(exc, EXIT_PARSE)
-    except (IntegrityError, UnknownNode) as exc:
-        return _fail(exc, EXIT_INTEGRITY)
-    except (
-        NoData,
-        InsufficientSpan,
-        DegenerateInput,
-        ModelEmpty,
-        ConfigError,
-        UnsupportedScheme,
-        ValueError,
-    ) as exc:
-        return _fail(exc, EXIT_NUMERIC)
-    except OSError as exc:
-        return _fail(exc, EXIT_USAGE)
-    except SocmobError as exc:
-        return _fail(exc, EXIT_NUMERIC)
+    except Exception as exc:
+        for classes, code in _ERROR_CODES:
+            if isinstance(exc, classes):
+                return _fail(exc, code)
+        raise
 
 
 if __name__ == "__main__":

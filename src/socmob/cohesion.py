@@ -166,29 +166,55 @@ def poisson_random_graph(n: int, avg_degree: float, seed: int = 0) -> SocialGrap
     return SocialGraph(edges, nodes=names)
 
 
+# --- vertex bitmasks ----------------------------------------------------------
+#
+# Both enumerators index the vertices in sorted name order: vertex i is bit i,
+# so ascending bit order is name order, and a set of vertices is one int.
+
+
+def _bit_adjacency(g: SocialGraph) -> tuple[list[str], list[int]]:
+    """Sorted vertex names and, per vertex, the mask of its neighbours."""
+    nodes = sorted(g.nodes)
+    bit = {v: 1 << i for i, v in enumerate(nodes)}
+    adj = []
+    for v in nodes:
+        mask = 0
+        for w in g.neighbors(v):
+            mask |= bit[w]
+        adj.append(mask)
+    return nodes, adj
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _names(nodes: list[str], mask: int) -> frozenset[str]:
+    return frozenset(nodes[i] for i in _bits(mask))
+
+
 # --- maximal clique enumeration (Bron–Kerbosch with pivoting) ---------------
 
 
 def _bron_kerbosch(
-    adj: dict[str, frozenset[str]],
-    r: set[str],
-    p: set[str],
-    x: set[str],
-    out: list[frozenset[str]],
-    cap: int | None,
+    adj: list[int], r: int, p: int, x: int, out: list[int], cap: int | None
 ) -> bool:
     """Emit maximal cliques; returns False when the cap was hit."""
     if cap is not None and len(out) >= cap:
         return False
     if not p and not x:
-        out.append(frozenset(r))
+        out.append(r)
         return True
-    pivot = max(p | x, key=lambda u: (len(adj[u] & p), u))
-    for v in sorted(p - adj[pivot]):
-        if not _bron_kerbosch(adj, r | {v}, p & adj[v], x & adj[v], out, cap):
+    pivot = max(_bits(p | x), key=lambda u: ((adj[u] & p).bit_count(), u))
+    for v in _bits(p & ~adj[pivot]):
+        if not _bron_kerbosch(adj, r | 1 << v, p & adj[v], x & adj[v], out, cap):
             return False
-        p.discard(v)
-        x.add(v)
+        p ^= 1 << v
+        x |= 1 << v
     return True
 
 
@@ -200,11 +226,12 @@ def enumerate_cliques(
     Returns (subgroups, truncated).  When ``max_count`` is reached the
     enumeration stops and the truncated flag is set.
     """
-    adj = {u: g.neighbors(u) for u in g.nodes}
-    found: list[frozenset[str]] = []
-    complete = _bron_kerbosch(adj, set(), set(g.nodes), set(), found, max_count)
+    nodes, adj = _bit_adjacency(g)
+    found: list[int] = []
+    complete = _bron_kerbosch(adj, 0, (1 << len(nodes)) - 1, 0, found, max_count)
     members = sorted(
-        (m for m in found if len(m) >= min_size), key=lambda m: (len(m), sorted(m))
+        (m for m in (_names(nodes, r) for r in found) if len(m) >= min_size),
+        key=lambda m: (len(m), sorted(m)),
     )
     groups = [
         Subgroup(members=m, kind="clique", cohesion=_safe_cohesion(g, m))
@@ -223,74 +250,49 @@ def _safe_cohesion(g: SocialGraph, members: frozenset[str]) -> float:
 # --- maximal 2-plex enumeration ---------------------------------------------
 
 
-def _is_plex_with(adj, members: set[str], deg_in: dict[str, int], v: str, k: int) -> bool:
-    """Would members | {v} still be a k-plex?"""
-    nv = adj[v]
-    size = len(members) + 1
-    dv = 0
-    for u in members:
-        if u in nv:
-            dv += 1
-        elif deg_in[u] < size - k:
-            # u would fall below the required in-group degree
-            return False
-    return dv >= size - k
-
-
 def _plex_extend(
-    adj,
-    members: set[str],
-    deg_in: dict[str, int],
-    cand: list[str],
-    excl: list[str],
-    k: int,
+    adj: list[int],
+    members: int,
+    common: int,
+    without: dict[int, int],
+    cand: int,
+    excl: int,
     min_size: int,
-    seen: set[frozenset[str]],
-    out: list[frozenset[str]],
+    out: list[int],
     cap: int | None,
 ) -> bool:
+    """Grow the 2-plex ``members`` by the viable vertices of ``cand``.
+
+    ``common`` holds the vertices adjacent to every member and
+    ``without[u]`` those adjacent to every member except ``u``.  A vertex
+    can join when it misses at most one member ``u`` and ``u`` misses no
+    other member, which holds exactly when ``u`` is in ``without[u]``.
+    """
     if cap is not None and len(out) >= cap:
         return False
-    viable_cand = [v for v in cand if _is_plex_with(adj, members, deg_in, v, k)]
-    if not viable_cand:
-        if len(members) >= min_size and not any(
-            _is_plex_with(adj, members, deg_in, v, k) for v in excl
-        ):
-            fs = frozenset(members)
-            if fs not in seen:
-                seen.add(fs)
-                out.append(fs)
+    viable = common
+    for u, w in without.items():
+        if w >> u & 1:
+            viable |= w & ~adj[u]
+    viable &= ~members
+    grow = viable & cand
+    if not grow:
+        # no candidate extends the set; it is maximal unless an excluded
+        # vertex (one whose supersets were searched already) still would
+        if members.bit_count() >= min_size and not viable & excl:
+            out.append(members)
         return True
-    # when viable candidates remain, the current set is extendable and hence
-    # not maximal, so emission only ever happens in the branch above
-    new_excl = list(excl)
-    for idx, v in enumerate(viable_cand):
+    later = grow
+    for v in _bits(grow):
         nv = adj[v]
-        members.add(v)
-        for u in members:
-            if u in nv:
-                deg_in[u] += 1
-        deg_in[v] = sum(1 for u in members if u in nv and u != v)
-        ok = _plex_extend(
-            adj,
-            members,
-            deg_in,
-            viable_cand[idx + 1 :],
-            new_excl,
-            k,
-            min_size,
-            seen,
-            out,
-            cap,
-        )
-        for u in members:
-            if u in nv and u != v:
-                deg_in[u] -= 1
-        del deg_in[v]
-        members.discard(v)
-        if not ok:
+        later ^= 1 << v
+        child = {u: w & nv for u, w in without.items()}
+        child[v] = common
+        if not _plex_extend(
+            adj, members | 1 << v, common & nv, child, later, excl, min_size, out, cap
+        ):
             return False
-        new_excl.append(v)
+        excl |= 1 << v
     return True
 
 
@@ -299,29 +301,28 @@ def enumerate_two_plexes(
 ) -> tuple[list[Subgroup], bool]:
     """All maximal 2-plexes with at least ``min_size`` members.
 
-    Binary include/exclude search over an ordered vertex list, pruned by
-    the plex degree condition (membership is hereditary, so partial sets
-    can be extended safely).  Returns (subgroups, truncated).
+    Depth-first search over vertex bitmasks that adds members in ascending
+    name order, so it reaches each vertex set at most once (from its
+    smallest member); 2-plexes are closed under subsets, so any proper
+    superset is reachable one vertex at a time and the no-extender test
+    at a leaf guarantees maximality.  Returns (subgroups, truncated).
     """
-    adj = {u: g.neighbors(u) for u in g.nodes}
-    nodes = sorted(g.nodes)
-    seen: set[frozenset[str]] = set()
-    found: list[frozenset[str]] = []
+    nodes, adj = _bit_adjacency(g)
+    everyone = (1 << len(nodes)) - 1
+    found: list[int] = []
     complete = True
-    for idx, v in enumerate(nodes):
-        members = {v}
-        deg_in = {v: 0}
-        # candidates restricted to later vertices keeps each maximal plex
-        # reachable from its lexicographically smallest member
+    for v in range(len(nodes)):
+        # a lone vertex misses no one, so every other vertex can join it
+        earlier = (1 << v) - 1
+        later = everyone ^ earlier ^ (1 << v)
         if not _plex_extend(
-            adj, members, deg_in, nodes[idx + 1 :], nodes[:idx], 2, min_size, seen, found, max_count
+            adj, 1 << v, adj[v], {v: everyone}, later, earlier, min_size, found, max_count
         ):
             complete = False
             break
-    # the no-extender emission test already guarantees maximality: 2-plexes
-    # are closed under subsets, so any proper superset is reachable one
-    # vertex at a time
-    members_sorted = sorted(set(found), key=lambda m: (len(m), sorted(m)))
+    members_sorted = sorted(
+        (_names(nodes, m) for m in found), key=lambda m: (len(m), sorted(m))
+    )
     groups = [
         Subgroup(members=m, kind="two_plex", cohesion=_safe_cohesion(g, m))
         for m in members_sorted

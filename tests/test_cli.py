@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from socmob import cli, errors
 from socmob.cli import main
 from socmob.ingestion import save_edges
 from socmob.synthgen import GenConfig, generate, write_corpus
@@ -274,6 +275,22 @@ class TestErrorsAndConfig:
         conf.write_text("not a valid line\n")
         assert run(["--config", conf, "bounds", "--entropy", 1, "--locations", 5]) == 3
 
+    @pytest.mark.parametrize("form", ["separate", "equals"])
+    def test_abbreviated_config_is_a_usage_error(self, tmp_path, capsys, form):
+        conf = str(tmp_path / "no-such-file.conf")
+        flag = ["--conf", conf] if form == "separate" else [f"--conf={conf}"]
+        assert run([*flag, "bounds", "--entropy", 1, "--locations", 5]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert captured.out == "" and len(err) == 1
+        assert json.loads(err[0])["error"] == "UsageError"
+
+    def test_subcommand_flags_keep_abbreviations(self, capsys):
+        assert run(["bounds", "--entr", 3.48, "--loc", 62]) == 0
+        assert run(["bounds", "--entropy", 3.48, "--locations", 62]) == 0
+        by_prefix, in_full = capsys.readouterr().out.split("}\n{")
+        assert json.loads(by_prefix + "}") == json.loads("{" + in_full)
+
     def test_config_without_a_path_is_a_usage_error(self, corpus_dir, capsys):
         ds = ["--checkins", corpus_dir / "checkins.csv", "--edges", corpus_dir / "edges.csv"]
         assert run(["stats", *ds, "--config"]) == 2
@@ -301,3 +318,44 @@ class TestReportErrors:
         assert run(["report", "--eval", bad, "--out", tmp_path / "out"]) == 3
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and json.loads(err[0])["error"] == "ParseError"
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        (errors.ParseError("bad row", 7), 3),
+        (errors.IntegrityError("dangling venue"), 4),
+        (errors.UnknownNode("nobody"), 4),
+        (errors.NoData("empty"), 5),
+        (errors.InsufficientSpan("short"), 5),
+        (errors.DegenerateInput("constant"), 5),
+        (errors.ModelEmpty("untrained"), 5),
+        (errors.ConfigError("out of range"), 5),
+        (errors.UnsupportedScheme("later"), 5),
+        (ValueError("bad value"), 5),
+        (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"), 5),
+        (FileNotFoundError(2, "No such file", "x.csv"), 2),
+        (OSError("disk"), 2),
+        (errors.SocmobError("other"), 5),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+)
+def test_exit_code_of_each_error_class(monkeypatch, capsys, exc, code):
+    def raise_it(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_bounds", raise_it)
+    assert run(["bounds", "--entropy", 1, "--locations", 5]) == code
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert captured.out == "" and len(err) == 1
+    assert json.loads(err[0]) == {"error": type(exc).__name__, "message": str(exc)}
+
+
+def test_unmapped_errors_keep_their_traceback(monkeypatch):
+    def raise_it(args):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "_cmd_bounds", raise_it)
+    with pytest.raises(KeyError):
+        run(["bounds", "--entropy", 1, "--locations", 5])

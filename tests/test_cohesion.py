@@ -3,6 +3,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from socmob.cohesion import (
     Subgroup,
@@ -212,6 +213,167 @@ class TestEnumeration:
             part, truncated = enumerate_two_plexes(g, min_size=3, max_count=3)
             assert truncated
             assert len(part) <= 3
+            assert (part, truncated) == reference_two_plexes(g, min_size=3, max_count=3)
+
+
+# --- set-based reference enumerators ----------------------------------------
+#
+# The enumerators before they moved to vertex bitmasks, kept here so that the
+# bitmask search can be checked to build the same search tree: same groups,
+# same cut-off under max_count, same exceptions.
+
+
+def _reference_cohesion(g, members):
+    return math.inf if members == g.nodes else group_cohesion(g, members)
+
+
+def _reference_bron_kerbosch(adj, r, p, x, out, cap):
+    if cap is not None and len(out) >= cap:
+        return False
+    if not p and not x:
+        out.append(frozenset(r))
+        return True
+    pivot = max(p | x, key=lambda u: (len(adj[u] & p), u))
+    for v in sorted(p - adj[pivot]):
+        if not _reference_bron_kerbosch(adj, r | {v}, p & adj[v], x & adj[v], out, cap):
+            return False
+        p.discard(v)
+        x.add(v)
+    return True
+
+
+def reference_cliques(g, min_size=3, max_count=None):
+    adj = {u: g.neighbors(u) for u in g.nodes}
+    found = []
+    complete = _reference_bron_kerbosch(adj, set(), set(g.nodes), set(), found, max_count)
+    members = sorted(
+        (m for m in found if len(m) >= min_size), key=lambda m: (len(m), sorted(m))
+    )
+    groups = [
+        Subgroup(members=m, kind="clique", cohesion=_reference_cohesion(g, m))
+        for m in members
+    ]
+    return groups, not complete
+
+
+def _is_plex_with(adj, members, deg_in, v, k):
+    nv = adj[v]
+    size = len(members) + 1
+    dv = 0
+    for u in members:
+        if u in nv:
+            dv += 1
+        elif deg_in[u] < size - k:
+            return False
+    return dv >= size - k
+
+
+def _plex_extend(adj, members, deg_in, cand, excl, k, min_size, seen, out, cap):
+    if cap is not None and len(out) >= cap:
+        return False
+    viable_cand = [v for v in cand if _is_plex_with(adj, members, deg_in, v, k)]
+    if not viable_cand:
+        if len(members) >= min_size and not any(
+            _is_plex_with(adj, members, deg_in, v, k) for v in excl
+        ):
+            fs = frozenset(members)
+            if fs not in seen:
+                seen.add(fs)
+                out.append(fs)
+        return True
+    new_excl = list(excl)
+    for idx, v in enumerate(viable_cand):
+        nv = adj[v]
+        members.add(v)
+        for u in members:
+            if u in nv:
+                deg_in[u] += 1
+        deg_in[v] = sum(1 for u in members if u in nv and u != v)
+        ok = _plex_extend(
+            adj, members, deg_in, viable_cand[idx + 1 :], new_excl, k, min_size, seen, out, cap
+        )
+        for u in members:
+            if u in nv and u != v:
+                deg_in[u] -= 1
+        del deg_in[v]
+        members.discard(v)
+        if not ok:
+            return False
+        new_excl.append(v)
+    return True
+
+
+def reference_two_plexes(g, min_size=3, max_count=None):
+    adj = {u: g.neighbors(u) for u in g.nodes}
+    nodes = sorted(g.nodes)
+    seen = set()
+    found = []
+    complete = True
+    for idx, v in enumerate(nodes):
+        if not _plex_extend(
+            adj, {v}, {v: 0}, nodes[idx + 1 :], nodes[:idx], 2, min_size, seen, found, max_count
+        ):
+            complete = False
+            break
+    members = sorted(set(found), key=lambda m: (len(m), sorted(m)))
+    groups = [
+        Subgroup(members=m, kind="two_plex", cohesion=_reference_cohesion(g, m))
+        for m in members
+    ]
+    return groups, not complete
+
+
+def _outcome(enumerate_fn, g, min_size, max_count):
+    """(groups, truncated), or the type and message of what was raised."""
+    try:
+        return enumerate_fn(g, min_size=min_size, max_count=max_count)
+    except Exception as exc:  # noqa: BLE001 - the two sides must raise alike
+        return type(exc), str(exc)
+
+
+@st.composite
+def named_graphs(draw):
+    """Up to 14 vertices, isolated ones included, whose names sort in an
+    order other than the one they were drawn in."""
+    names = draw(
+        st.lists(st.text("abz09", min_size=1, max_size=3), unique=True, max_size=14)
+    )
+    pairs = list(combinations(names, 2))
+    density = draw(st.sampled_from([0.2, 0.5, 0.8]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    edges = [(a, b) for a, b in pairs if rng.random() < density]
+    return SocialGraph(edges, nodes=names)
+
+
+class TestAgainstSetReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        g=named_graphs(),
+        min_size=st.integers(1, 5),
+        max_count=st.none() | st.integers(0, 10),
+    )
+    def test_same_groups_and_cut_off(self, g, min_size, max_count):
+        for ours, ref in (
+            (enumerate_cliques, reference_cliques),
+            (enumerate_two_plexes, reference_two_plexes),
+        ):
+            assert _outcome(ours, g, min_size, max_count) == _outcome(
+                ref, g, min_size, max_count
+            )
+
+    def test_isolated_vertices_and_empty_graph(self):
+        g = SocialGraph([("b", "c"), ("c", "a"), ("a", "b")], nodes=["d", "e"])
+        for min_size in (1, 3):
+            for max_count in (None, 0, 1):
+                assert _outcome(enumerate_two_plexes, g, min_size, max_count) == _outcome(
+                    reference_two_plexes, g, min_size, max_count
+                )
+                assert _outcome(enumerate_cliques, g, min_size, max_count) == _outcome(
+                    reference_cliques, g, min_size, max_count
+                )
+        empty = SocialGraph()
+        assert enumerate_two_plexes(empty, max_count=0) == ([], False)
+        assert enumerate_cliques(empty) == reference_cliques(empty)
 
 
 class TestGroupCohesion:
