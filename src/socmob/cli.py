@@ -191,8 +191,9 @@ def _cmd_correlate(args) -> int:
     if args.source == "home_city":
         population = _home_city_users(histories, radius_km=args.home_radius_km)
     elif args.source == "two_plex":
-        groups, _ = cohesion_mod.enumerate_two_plexes(ds.graph, min_size=3)
-        subgroups = [sorted(sg.members) for sg in groups]
+        # the pairs need only the members, not each group's cohesion
+        members, _ = cohesion_mod._two_plex_members(ds.graph, min_size=3)
+        subgroups = [sorted(m) for m in members]
     sample = correlation_mod.sample_pairs(
         population, args.sample_size, source=args.source, seed=args.seed, subgroups=subgroups
     )

@@ -299,13 +299,26 @@ def _plex_extend(
 def enumerate_two_plexes(
     g: SocialGraph, min_size: int = 3, max_count: int | None = None
 ) -> tuple[list[Subgroup], bool]:
-    """All maximal 2-plexes with at least ``min_size`` members.
+    """All maximal 2-plexes with at least ``min_size`` members, each with
+    its cohesion, smallest first.  Returns (subgroups, truncated)."""
+    members, truncated = _two_plex_members(g, min_size, max_count)
+    groups = [
+        Subgroup(members=m, kind="two_plex", cohesion=_safe_cohesion(g, m)) for m in members
+    ]
+    return groups, truncated
+
+
+def _two_plex_members(
+    g: SocialGraph, min_size: int = 3, max_count: int | None = None
+) -> tuple[list[frozenset[str]], bool]:
+    """The member sets of the maximal 2-plexes with at least ``min_size``
+    members, ordered by size and then by sorted names.
 
     Depth-first search over vertex bitmasks that adds members in ascending
     name order, so it reaches each vertex set at most once (from its
     smallest member); 2-plexes are closed under subsets, so any proper
     superset is reachable one vertex at a time and the no-extender test
-    at a leaf guarantees maximality.  Returns (subgroups, truncated).
+    at a leaf guarantees maximality.  Returns (member sets, truncated).
     """
     nodes, adj = _bit_adjacency(g)
     everyone = (1 << len(nodes)) - 1
@@ -320,14 +333,8 @@ def enumerate_two_plexes(
         ):
             complete = False
             break
-    members_sorted = sorted(
-        (_names(nodes, m) for m in found), key=lambda m: (len(m), sorted(m))
-    )
-    groups = [
-        Subgroup(members=m, kind="two_plex", cohesion=_safe_cohesion(g, m))
-        for m in members_sorted
-    ]
-    return groups, not complete
+    members = sorted((_names(nodes, m) for m in found), key=lambda m: (len(m), sorted(m)))
+    return members, not complete
 
 
 def is_clique(g: SocialGraph, members: frozenset[str] | set[str]) -> bool:

@@ -25,7 +25,15 @@ from . import correlation
 from .core import TemporalContext, WEEKEND
 from .errors import DegenerateInput, ModelEmpty, NoData
 from .ingestion import Dataset
-from .sost import CLASS_I, CLASS_II, CLASS_III, SocialTree, SostConfig, SostModel
+from .sost import (
+    CLASS_I,
+    CLASS_II,
+    CLASS_III,
+    SocialTree,
+    SostConfig,
+    SostModel,
+    situation_labels,
+)
 from .vomm import ContextKey, ContextTree, MergedContextView
 
 
@@ -365,14 +373,19 @@ def evaluate(
                 rec.situations += 1
 
             row = {"user": u, "timestamp": t, "actual": v, "st": st_pred}
+            # the variants share the target's trend view: one trend
+            # prediction serves them all, for this event only
+            trend_memo: list = []
             for name in variant_names:
                 model = models[name][u]
                 try:
                     if key is not None:
-                        outcome = model.rank_with(key, dist, unseen, t, users_now)
+                        outcome = model.rank_with(
+                            key, dist, unseen, t, users_now, trend_memo
+                        )
                     else:
                         outcome = model.predict_next(
-                            tree_of(u), prev_venues.get(u, ()), t, users_now
+                            tree_of(u), prev_venues.get(u, ()), t, users_now, trend_memo
                         )
                     pred = outcome.venue
                 except ModelEmpty:
@@ -413,6 +426,7 @@ def evaluate(
                     counts_week[w] = counts_week.get(w, 0) + 1
                     if ts >= t - sit_window:
                         present_window.add(w)
+            labels = situation_labels(v, temporal)
             for tgt in interested:
                 primary = models["primary"][tgt]
                 if u == tgt:
@@ -423,9 +437,8 @@ def evaluate(
                     c = counts_week.get(tgt, 0)
                     if c:
                         primary.add_tie_mass(u, float(c))
-                circle_present = present_window & (primary.neighbors | {tgt})
-                situation = frozenset(circle_present | {u})
-                primary.record_social_context(situation, v, t, temporal=temporal)
+                situation = frozenset(present_window & primary._circle | {u})
+                primary.record_social_context(situation, v, t, labels=labels)
 
         lst = recent.setdefault(v, [])
         lst.append((t, u))

@@ -96,6 +96,17 @@ def drift_factor(elapsed: float, beta: float, stay_hours: float, kind: str) -> f
     return math.exp(-beta * units)
 
 
+def _decay(elapsed: float, config: SostConfig) -> float:
+    """``drift_factor`` under ``config``'s drift, which must not be "none";
+    the kind and beta were checked when ``config`` was made."""
+    if elapsed < 0:
+        raise ValueError("elapsed time is negative")
+    units = elapsed / (config.stay_hours * HOUR_SECONDS)
+    if config.drift == "geometric":
+        return (1.0 - config.beta) ** units
+    return math.exp(-config.beta * units)
+
+
 @dataclass(slots=True)
 class InfluenceRecord:
     """⟨user set, last occurrence, counter⟩ stored at a tree node.
@@ -119,19 +130,14 @@ class InfluenceRecord:
             return float(self.hits)
         if now is None:
             return self.counter
-        return self.counter * drift_factor(
-            now - self.last_seen, config.beta, config.stay_hours, config.drift
-        )
+        return self.counter * _decay(now - self.last_seen, config)
 
     def reinforce(self, now: int, config: SostConfig) -> None:
         self.hits += 1
         if config.drift == "none":
             self.counter += 1.0
         else:
-            psi = drift_factor(
-                now - self.last_seen, config.beta, config.stay_hours, config.drift
-            )
-            self.counter *= psi + 1.0
+            self.counter *= _decay(now - self.last_seen, config) + 1.0
         self.last_seen = now
 
 
@@ -217,7 +223,8 @@ class _SocialNode:
         self.users: set[str] | None = None
 
 
-def _situation_labels(venue: str, temporal: TemporalContext) -> tuple[tuple, ...]:
+def situation_labels(venue: str, temporal: TemporalContext) -> tuple[tuple, ...]:
+    """The path of a situation in a social tree: venue, day class, day, slot."""
     return (("L", venue),) + temporal_labels(temporal)
 
 
@@ -264,16 +271,15 @@ class SocialTree:
 
     def record(
         self,
-        venue: str,
-        temporal: TemporalContext,
+        labels: tuple[tuple, ...],
         users: frozenset[str],
         timestamp: int,
         config: SostConfig,
         cls: str,
     ) -> None:
-        """Add one occurrence of a ``cls`` situation along its path; the
-        counters decay with ``config``'s drift."""
-        labels = _situation_labels(venue, temporal)
+        """Add one occurrence of a ``cls`` situation along its path
+        ``labels`` (``situation_labels``); the counters decay with
+        ``config``'s drift."""
         node = self.root
         for lab in labels:
             child = node.children.get(lab)
@@ -291,7 +297,7 @@ class SocialTree:
         # node is now the slot node, and rec its record as it was before
         if node.users is None:
             node.users = set(users)
-            self._cells.setdefault(labels[1:], {})[venue] = node
+            self._cells.setdefault(labels[1:], {})[labels[0][1]] = node
         elif rec is None:
             node.users |= users
 
@@ -299,7 +305,7 @@ class SocialTree:
         """Existing nodes along venue → day class → day → slot, root excluded."""
         nodes = []
         node = self.root
-        for lab in _situation_labels(venue, temporal):
+        for lab in situation_labels(venue, temporal):
             node = node.children.get(lab)
             if node is None:
                 break
@@ -567,21 +573,27 @@ class SostModel:
         timestamp: int,
         cls: str | None = None,
         temporal: TemporalContext | None = None,
+        *,
+        labels: tuple[tuple, ...] | None = None,
     ) -> str | None:
         """Store one situation occurrence if the store admits its class.
 
         ``temporal`` defaults to the calendar context of ``timestamp``.
-        Influencers are counted for this model's own classes only.
-        Returns the class that was recorded, or None when gated off.
+        ``labels`` is ``situation_labels(venue, temporal)`` when the caller
+        already has it.  Influencers are counted for this model's own
+        classes only.  Returns the class that was recorded, or None when
+        gated off.
         """
         users = frozenset(users) & self._circle
         if cls is None:
             cls = classify_situation(users, self.target)
         if cls is None or cls not in self.social.classes:
             return None
-        if temporal is None:
-            temporal = self.config.tree.temporal(timestamp)
-        self.social.record(venue, temporal, users, timestamp, self.config, cls)
+        if labels is None:
+            if temporal is None:
+                temporal = self.config.tree.temporal(timestamp)
+            labels = situation_labels(venue, temporal)
+        self.social.record(labels, users, timestamp, self.config, cls)
         if cls in self.config.classes:
             self.influencers.update(users - {self.target})
         return cls
@@ -672,6 +684,7 @@ class SostModel:
         unseen: float,
         timestamp: int,
         users_now: frozenset[str] | None = None,
+        trend_memo: list | None = None,
     ) -> PredictOutcome:
         """Prediction given a precomputed individual distribution.
 
@@ -681,7 +694,8 @@ class SostModel:
         social factor; the trend model takes over when even the best
         candidate is no more likely than a never-seen venue would be (the
         gate threshold), that is, when the main model has no evidence
-        above its uniform floor.
+        above its uniform floor.  ``trend_memo`` is as for
+        ``_trend_prediction``.
         """
         active = bool(users_now and len(users_now) >= 2)
         factors: dict[str, float] | None = None
@@ -708,7 +722,7 @@ class SostModel:
                     best_q, best_p = q, p
         threshold = unseen
         if self.config.enable_trend and best_p <= threshold:
-            trend_pred = self._trend_prediction(key.spatial, timestamp)
+            trend_pred = self._trend_prediction(key.spatial, timestamp, trend_memo)
             if trend_pred is not None:
                 return PredictOutcome(
                     venue=trend_pred[0],
@@ -730,21 +744,34 @@ class SostModel:
         )
 
     def _trend_prediction(
-        self, spatial: Sequence[str], timestamp: int
+        self, spatial: Sequence[str], timestamp: int, memo: list | None = None
     ) -> tuple[str, float] | None:
-        if self.trend is None:
-            return None
-        tkey = ContextKey(
-            spatial=tuple(spatial)[len(spatial) - self.config.tree.kappa :]
-            if len(spatial) > self.config.tree.kappa
-            else tuple(spatial),
-            temporal=self.config.tree.temporal(timestamp),
-        )
-        try:
-            ranked = self.trend.predict(tkey, limit=1)
-        except ModelEmpty:
-            return None
-        return ranked[0] if ranked else None
+        """The trend model's best venue with its probability, or None.
+
+        ``memo`` lets the variants of one target share the prediction
+        within one event, as they share the trend view and the tree
+        configuration: the first call appends its prediction to the list
+        and later calls return it.  Pass a new empty list for each event; a
+        prediction kept after a tree observed a later check-in is stale.
+        """
+        if memo:
+            return memo[0]
+        pred = None
+        if self.trend is not None:
+            tkey = ContextKey(
+                spatial=tuple(spatial)[len(spatial) - self.config.tree.kappa :]
+                if len(spatial) > self.config.tree.kappa
+                else tuple(spatial),
+                temporal=self.config.tree.temporal(timestamp),
+            )
+            try:
+                ranked = self.trend.predict(tkey, limit=1)
+            except ModelEmpty:
+                ranked = []
+            pred = ranked[0] if ranked else None
+        if memo is not None:
+            memo.append(pred)
+        return pred
 
     def predict_next(
         self,
@@ -752,20 +779,22 @@ class SostModel:
         prev_venues: Sequence[str],
         timestamp: int,
         users_now: frozenset[str] | None = None,
+        trend_memo: list | None = None,
     ) -> PredictOutcome:
         """Best next venue, falling back to the general-trend model.
 
         The gate compares the best social-weighted individual probability
         against the mass a brand-new venue would receive; at or below that
-        floor the trend model predicts instead.
+        floor the trend model predicts instead.  ``trend_memo`` is as for
+        ``_trend_prediction``.
         """
         if st_tree.alphabet:
             key = st_tree.key(prev_venues, timestamp)
             dist, unseen = st_tree.distribution(key)
-            return self.rank_with(key, dist, unseen, timestamp, users_now)
+            return self.rank_with(key, dist, unseen, timestamp, users_now, trend_memo)
         active = bool(users_now and len(users_now) >= 2)
         if self.config.enable_trend:
-            trend_pred = self._trend_prediction(tuple(prev_venues), timestamp)
+            trend_pred = self._trend_prediction(tuple(prev_venues), timestamp, trend_memo)
             if trend_pred is not None:
                 return PredictOutcome(
                     venue=trend_pred[0],

@@ -69,7 +69,11 @@ def temporal_labels(t: TemporalContext) -> tuple[Label, Label, Label]:
 
 
 def escape_chain(spatial: Sequence[str], temporal: TemporalContext) -> list[Context]:
-    """All fallback contexts, longest first, ending with the empty context."""
+    """All fallback contexts, longest first, ending with the empty context.
+
+    This is the order in which ``distribution`` reads counters; it collects
+    them with one trie descent per spatial order (``_chain_counts``).
+    """
     tl = temporal_labels(temporal)
     chain: list[Context] = []
     n = len(spatial)
@@ -95,18 +99,11 @@ class ContextTree:
         self.config = config or TreeConfig()
         self.root = _Node()
         self.n_events = 0
-        self._frozen = False
 
     # -- training -------------------------------------------------------
 
-    def freeze(self) -> None:
-        """Mark the tree read-only; concurrent readers are then safe."""
-        self._frozen = True
-
     def observe(self, symbol: str, spatial: Sequence[str], temporal: TemporalContext) -> None:
         """Record one event: bump the symbol's counter at every fallback context."""
-        if self._frozen:
-            raise RuntimeError("tree is frozen")
         tl = temporal_labels(temporal)
         n = len(spatial)
         if n > self.config.kappa:
@@ -165,7 +162,7 @@ class ContextTree:
 
     def prob(self, symbol: str, key: ContextKey) -> float:
         """Probability of ``symbol`` after the given context."""
-        return _ppm_prob(self, symbol, escape_chain(key.spatial, key.temporal))
+        return self.distribution(key, (symbol,))[0][symbol]
 
     def distribution(
         self, key: ContextKey, candidates: Iterable[str] | None = None
@@ -176,21 +173,14 @@ class ContextTree:
         The second value is the probability any single unregistered symbol
         would receive (the explicitly reported residual escape mass).
         """
-        return _ppm_distribution(self, escape_chain(key.spatial, key.temporal), candidates)
+        counters = _chain_counts(self.root, key.spatial, temporal_labels(key.temporal))
+        return _ppm(counters, self.root.counts, candidates)
 
     def predict(self, key: ContextKey, limit: int | None = None) -> list[tuple[str, float]]:
         """Known symbols ranked by probability, ties broken by symbol id."""
         dist, _ = self.distribution(key)
         ranked = sorted(dist.items(), key=lambda kv: (-kv[1], kv[0]))
         return ranked[:limit] if limit is not None else ranked
-
-    def escape_at_root(self) -> float:
-        """Escape estimate of the empty context: new-symbol mass at order 0."""
-        sigma = len(self.root.counts)
-        if sigma == 0:
-            raise ModelEmpty("tree has no training events")
-        total = sum(self.root.counts.values())
-        return sigma / (sigma + total)
 
     # -- serialization ----------------------------------------------------
 
@@ -294,22 +284,14 @@ class MergedContextView:
                 merged[q] = merged.get(q, 0) + c
         return merged
 
-    def counts_at(self, context: Context) -> dict[str, int] | None:
-        merged: dict[str, int] | None = None
-        for t in self.trees:
-            counts = t.counts_at(context)
-            if counts:
-                if merged is None:
-                    merged = dict(counts)
-                else:
-                    for q, c in counts.items():
-                        merged[q] = merged.get(q, 0) + c
-        return merged
-
     def distribution(
         self, key: ContextKey, candidates: Iterable[str] | None = None
     ) -> tuple[dict[str, float], float]:
-        return _ppm_distribution(self, escape_chain(key.spatial, key.temporal), candidates)
+        """Per-candidate probabilities and the new-symbol mass of the tree
+        trained on every trajectory of the view."""
+        tl = temporal_labels(key.temporal)
+        columns = zip(*(_chain_counts(t.root, key.spatial, tl) for t in self.trees))
+        return _ppm([_merged(column) for column in columns], self.alphabet, candidates)
 
     def predict(self, key: ContextKey, limit: int | None = None) -> list[tuple[str, float]]:
         dist, _ = self.distribution(key)
@@ -317,35 +299,71 @@ class MergedContextView:
         return ranked[:limit] if limit is not None else ranked
 
 
-def _ppm_prob(model, symbol: str, chain: Sequence[Context]) -> float:
-    alphabet = model.alphabet
-    if not alphabet:
-        raise ModelEmpty("model has no training events")
-    acc = 1.0
-    for context in chain[:-1]:
-        counts = model.counts_at(context)
+def _chain_counts(
+    root: _Node, spatial: Sequence[str], tl: tuple[Label, Label, Label]
+) -> list[Mapping[str, int] | None]:
+    """The counters of ``escape_chain(spatial, temporal)`` without its final
+    empty context, in chain order; None where the trie has no node.
+
+    One descent per spatial order reaches the node after its venues; the
+    calendar contexts of that order are its W, D and S descendants, read
+    finest first.  A missing venue node leaves its whole order None.
+    """
+    w_lab, d_lab, s_lab = tl
+    out: list[Mapping[str, int] | None] = []
+    n = len(spatial)
+    for k in range(n, -1, -1):
+        node = root
+        for v in spatial[n - k :]:
+            node = node.children.get(("L", v))
+            if node is None:
+                break
+        if node is None:
+            out += (None, None, None, None)
+            continue
+        w = node.children.get(w_lab)
+        d = None if w is None else w.children.get(d_lab)
+        s = None if d is None else d.children.get(s_lab)
+        out.append(None if s is None else s.counts)
+        out.append(None if d is None else d.counts)
+        out.append(None if w is None else w.counts)
+        if k:
+            out.append(node.counts)
+    return out
+
+
+def _merged(column: Iterable[Mapping[str, int] | None]) -> Mapping[str, int] | None:
+    """One context's counters summed over trees in tree order: the first
+    non-empty counter, with each later one added to a copy of it."""
+    merged = None
+    copied = False
+    for counts in column:
         if not counts:
             continue
-        total = sum(counts.values())
-        denom = len(counts) + total
-        c = counts.get(symbol)
-        if c:
-            return acc * c / denom
-        acc *= len(counts) / denom
-    # empty context: uniform over the registered alphabet
-    return acc / len(alphabet)
+        if merged is None:
+            merged = counts
+            continue
+        if not copied:
+            merged = dict(merged)
+            copied = True
+        for q, c in counts.items():
+            merged[q] = merged.get(q, 0) + c
+    return merged
 
 
-def _ppm_distribution(
-    model, chain: Sequence[Context], candidates: Iterable[str] | None
+def _ppm(
+    counters: Iterable[Mapping[str, int] | None],
+    alphabet: Mapping[str, int],
+    candidates: Iterable[str] | None,
 ) -> tuple[dict[str, float], float]:
-    alphabet = model.alphabet
+    """Escape-blended estimate over the counters of a fallback chain, longest
+    context first; the empty context spreads what is left uniformly over
+    ``alphabet``."""
     if not alphabet:
         raise ModelEmpty("model has no training events")
     out: dict[str, float] = {}
     acc = 1.0
-    for context in chain[:-1]:
-        counts = model.counts_at(context)
+    for counts in counters:
         if not counts:
             continue
         total = sum(counts.values())

@@ -16,8 +16,9 @@ from socmob.evaluation import (
     predictability_bounds,
 )
 from socmob.ingestion import IngestConfig, build_dataset
-from socmob.sost import SostConfig
+from socmob.sost import SostConfig, SostModel
 from socmob.synthgen import GenConfig, generate
+from socmob.vomm import ContextTree, MergedContextView
 
 HOUR = 3600
 
@@ -317,3 +318,58 @@ class TestSharedStoreVariants:
             assert swept.accuracy_st == alone.accuracy_st
         # the sweep must not be vacuous: influence changes some predictions
         assert swept.variant_accuracies["classes_I"] != swept.accuracy_st
+
+
+class TestOncePerEvent:
+    """The variants of one target make at most one trend prediction per
+    scored event, and sharing it changes nothing in the report."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        cfg = GenConfig(
+            n_users=16, days=14, seed=4, p_cositu=0.95, p_meetup=1.0, p_follow=0.5,
+            activity_threshold=5,
+        )
+        return generate(cfg)[0]
+
+    @staticmethod
+    def _run(corpus, monkeypatch, share: bool):
+        """The report and the most trend predictions made between two
+        consecutive training events, that is, within one scored event."""
+        calls = [0]
+        most = [0]
+        predict = MergedContextView.predict
+        observe = ContextTree.observe
+        trend_prediction = SostModel._trend_prediction
+
+        def counted_predict(self, *args, **kwargs):
+            calls[0] += 1
+            return predict(self, *args, **kwargs)
+
+        def counted_observe(self, *args, **kwargs):
+            most[0] = max(most[0], calls[0])
+            calls[0] = 0
+            return observe(self, *args, **kwargs)
+
+        def unshared(self, spatial, timestamp, memo=None):
+            return trend_prediction(self, spatial, timestamp)
+
+        with monkeypatch.context() as m:
+            m.setattr(MergedContextView, "predict", counted_predict)
+            m.setattr(ContextTree, "observe", counted_observe)
+            if not share:
+                m.setattr(SostModel, "_trend_prediction", unshared)
+            report = evaluate(
+                corpus, SostConfig(), class_sweep=True, drift_compare=True,
+                record_predictions=True,
+            )
+        return report, most[0]
+
+    def test_one_trend_prediction_per_event(self, corpus, monkeypatch):
+        shared, most_shared = self._run(corpus, monkeypatch, share=True)
+        unshared, most_unshared = self._run(corpus, monkeypatch, share=False)
+        assert most_shared == 1
+        # two variants use the trend, so without sharing an event makes two
+        assert most_unshared == 2
+        assert shared.to_dict() == unshared.to_dict()
+        assert shared.predictions == unshared.predictions

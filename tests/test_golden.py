@@ -1,0 +1,80 @@
+"""Golden regression test: `evaluate`'s report JSON and prediction rows stay
+byte-identical on a small fixed corpus.
+
+The corpus is ``synth``'s planted-influence generator at a fixed seed,
+committed as CSV so that a later change to the generator does not move it.
+Each case runs every variant (``class_sweep`` and ``drift_compare``).
+
+To regenerate the expected files after a change that is meant to alter the
+output, run from the root of the checkout:
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from socmob.evaluation import evaluate
+from socmob.ingestion import IngestConfig, load_dataset, save_dataset
+from socmob.sost import SostConfig
+from socmob.synthgen import GenConfig, generate
+
+DATA = Path(__file__).resolve().parent / "data" / "golden"
+CORPUS = GenConfig(
+    n_users=16, days=14, seed=4, p_cositu=0.95, p_meetup=1.0, p_follow=0.5,
+    activity_threshold=5,
+)
+CASES = {
+    "B_exponential": SostConfig(),
+    "A_geometric": SostConfig(estimator="A", drift="geometric"),
+}
+
+
+def _dataset():
+    return load_dataset(
+        DATA / "checkins.csv",
+        DATA / "edges.csv",
+        IngestConfig(activity_threshold=CORPUS.activity_threshold),
+    )
+
+
+def _outputs(dataset, config: SostConfig) -> tuple[str, str]:
+    """Report JSON as `socmob evaluate` writes it, and one JSON line per
+    prediction row."""
+    report = evaluate(
+        dataset, config, class_sweep=True, drift_compare=True, record_predictions=True
+    )
+    text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+    rows = "".join(json.dumps(row, sort_keys=True) + "\n" for row in report.predictions)
+    return text, rows
+
+
+@pytest.fixture(scope="module")
+def dataset():
+    return _dataset()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_and_predictions_unchanged(dataset, case):
+    text, rows = _outputs(dataset, CASES[case])
+    assert text == (DATA / f"report_{case}.json").read_text(encoding="utf-8")
+    assert rows == (DATA / f"predictions_{case}.jsonl").read_text(encoding="utf-8")
+
+
+def _write() -> None:
+    DATA.mkdir(parents=True, exist_ok=True)
+    save_dataset(generate(CORPUS)[0], DATA / "checkins.csv", DATA / "edges.csv")
+    dataset = _dataset()
+    for case, config in CASES.items():
+        text, rows = _outputs(dataset, config)
+        (DATA / f"report_{case}.json").write_text(text, encoding="utf-8")
+        (DATA / f"predictions_{case}.jsonl").write_text(rows, encoding="utf-8")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_golden.py --write")
+    _write()

@@ -110,6 +110,36 @@ class TestRecord:
         v2 = rec.value_at(20 * HOUR, cfg)
         assert v2 < v1 < 4.0
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(["geometric", "exponential"]),
+        beta=st.floats(0.001, 0.999),
+        stay=st.floats(0.25, 24.0),
+        counter=st.floats(0.5, 1e6),
+        last_seen=st.integers(0, 10**9),
+        elapsed=st.integers(0, 10**8),
+    )
+    def test_decay_is_drift_factor_exactly(self, kind, beta, stay, counter, last_seen, elapsed):
+        # reads and reinforcements decay exactly as the public drift_factor
+        cfg = SostConfig(beta=beta, drift=kind, stay_hours=stay)
+        psi = drift_factor(elapsed, beta, stay, kind)
+        now = last_seen + elapsed
+        rec = InfluenceRecord(users=frozenset({"a"}), last_seen=last_seen, counter=counter)
+        assert rec.value_at(now, cfg) == counter * psi
+        rec.reinforce(now, cfg)
+        assert rec.counter == counter * (psi + 1.0)
+        assert (rec.last_seen, rec.hits) == (now, 2)
+
+    @pytest.mark.parametrize("kind", ["geometric", "exponential"])
+    def test_negative_elapsed_raises(self, kind):
+        cfg = SostConfig(drift=kind)
+        rec = InfluenceRecord(users=frozenset({"a"}), last_seen=100, counter=1.0)
+        with pytest.raises(ValueError):
+            rec.value_at(99, cfg)
+        with pytest.raises(ValueError):
+            rec.reinforce(99, cfg)
+        assert (rec.counter, rec.last_seen) == (1.0, 100)
+
     def test_counting_without_drift(self):
         cfg = SostConfig(drift="none")
         rec = InfluenceRecord(users=frozenset({"a"}), last_seen=0, counter=1.0)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from socmob.core import TemporalContext
 from socmob.errors import ModelEmpty, ParseError
@@ -132,12 +134,6 @@ class TestTraining:
             t2.train_event(venue, ts, ctx)
         assert t1.dumps() == t2.dumps()
 
-    def test_frozen(self):
-        tree = train_tree(hourly_history("AB"))
-        tree.freeze()
-        with pytest.raises(RuntimeError):
-            tree.train_event("C", 2_000_000, [])
-
 
 class TestProb:
     def test_empty_context_unseen_symbol_uniform(self):
@@ -178,8 +174,6 @@ class TestProb:
         key = ContextKey(spatial=(), temporal=TemporalContext.from_timestamp(0))
         with pytest.raises(ModelEmpty):
             tree.prob("A", key)
-        with pytest.raises(ModelEmpty):
-            tree.escape_at_root()
 
 
 class TestOracleEquivalence:
@@ -404,3 +398,143 @@ class TestEscapeChain:
             (),
         ]
         assert chain == expect
+
+
+# --- single descent against the chain walk -------------------------------------
+#
+# The estimator as it was before `distribution` collected its counters with
+# one descent per spatial order: a root-to-node walk (`counts_at`) for every
+# context of `escape_chain`, and a merged view that sums each context's
+# counters over its trees in tree order.
+
+
+def reference_merged_alphabet(trees):
+    merged = {}
+    for t in trees:
+        for q, c in t.root.counts.items():
+            merged[q] = merged.get(q, 0) + c
+    return merged
+
+
+def reference_merged_counts_at(trees, context):
+    merged = None
+    for t in trees:
+        counts = t.counts_at(context)
+        if counts:
+            if merged is None:
+                merged = dict(counts)
+            else:
+                for q, c in counts.items():
+                    merged[q] = merged.get(q, 0) + c
+    return merged
+
+
+def reference_prob(counts_at, alphabet, symbol, chain):
+    if not alphabet:
+        raise ModelEmpty("model has no training events")
+    acc = 1.0
+    for context in chain[:-1]:
+        counts = counts_at(context)
+        if not counts:
+            continue
+        total = sum(counts.values())
+        denom = len(counts) + total
+        c = counts.get(symbol)
+        if c:
+            return acc * c / denom
+        acc *= len(counts) / denom
+    return acc / len(alphabet)
+
+
+def reference_distribution(counts_at, alphabet, chain, candidates):
+    if not alphabet:
+        raise ModelEmpty("model has no training events")
+    out = {}
+    acc = 1.0
+    for context in chain[:-1]:
+        counts = counts_at(context)
+        if not counts:
+            continue
+        total = sum(counts.values())
+        denom = len(counts) + total
+        for q, c in counts.items():
+            if q not in out:
+                out[q] = acc * c / denom
+        acc *= len(counts) / denom
+    unseen = acc / len(alphabet)
+    wanted = alphabet.keys() if candidates is None else candidates
+    dist = {q: out.get(q, unseen) for q in wanted}
+    return dist, unseen
+
+
+TRAINED = "ABCD"  # venues the trees may see
+QUERIED = TRAINED + "XY"  # X and Y are never trained
+T0 = 1_000_000
+
+
+def _timestamps():
+    # two weeks of hours, so that calendar contexts recur
+    return st.integers(0, 14 * 24 - 1).map(lambda h: T0 + h * HOUR)
+
+
+@st.composite
+def trees_and_key(draw, n_trees):
+    cfg = TreeConfig(kappa=draw(st.integers(0, 3)), slot_hours=draw(st.sampled_from([1, 6, 24])))
+    trees = []
+    for _ in range(n_trees):
+        events = draw(st.lists(st.tuples(st.sampled_from(TRAINED), _timestamps()), max_size=40))
+        trees.append(train_tree(events, cfg))
+    spatial = tuple(draw(st.lists(st.sampled_from(QUERIED), max_size=cfg.kappa)))
+    key = ContextKey(spatial, cfg.temporal(draw(_timestamps())))
+    candidates = draw(st.none() | st.lists(st.sampled_from(QUERIED + "Z"), max_size=8))
+    return trees, key, candidates
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ModelEmpty:
+        return ModelEmpty
+
+
+class TestSingleDescent:
+    """`distribution` and `prob` equal the chain walk exactly, including the
+    order of the distribution's keys (it breaks ties in `rank_with`)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(trees_and_key(1))
+    def test_tree_matches_chain_walk(self, case):
+        (tree,), key, candidates = case
+        chain = escape_chain(key.spatial, key.temporal)
+        got = _outcome(lambda: tree.distribution(key, candidates))
+        ref = _outcome(
+            lambda: reference_distribution(tree.counts_at, tree.alphabet, chain, candidates)
+        )
+        assert got == ref
+        if ref is not ModelEmpty:
+            assert list(got[0]) == list(ref[0])
+        for q in QUERIED + "Z":
+            got_p = _outcome(lambda: tree.prob(q, key))
+            ref_p = _outcome(
+                lambda: reference_prob(tree.counts_at, tree.alphabet, q, chain)
+            )
+            assert got_p == ref_p
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4).flatmap(trees_and_key))
+    def test_merged_view_matches_chain_walk(self, case):
+        trees, key, candidates = case
+        view = MergedContextView(trees)
+        chain = escape_chain(key.spatial, key.temporal)
+        got = _outcome(lambda: view.distribution(key, candidates))
+        ref = _outcome(
+            lambda: reference_distribution(
+                lambda ctx: reference_merged_counts_at(trees, ctx),
+                reference_merged_alphabet(trees),
+                chain,
+                candidates,
+            )
+        )
+        assert got == ref
+        if ref is not ModelEmpty:
+            assert list(got[0]) == list(ref[0])
