@@ -98,8 +98,12 @@ def local_clustering(g: SocialGraph, v: str) -> float:
 
 
 def clustering_coefficient(g: SocialGraph) -> float:
-    """Average local clustering coefficient (Watts-Strogatz)."""
-    nodes = g.nodes
+    """Average local clustering coefficient (Watts-Strogatz).
+
+    The sum runs in sorted node order, so the float result does not depend
+    on the iteration order of the node set (string hashing is salted per
+    process)."""
+    nodes = sorted(g.nodes)
     if not nodes:
         return 0.0
     return sum(local_clustering(g, v) for v in nodes) / len(nodes)

@@ -29,6 +29,7 @@ from .core import CheckIn, TemporalContext, WEEK_SECONDS
 from .errors import ConfigError, ModelEmpty, ParseError, dump_field, parse_dump
 from .homophily import MobilityIndex, WeightScheme, colocation_count
 from .vomm import (
+    NO_CHILDREN,
     ContextKey,
     ContextTree,
     MergedContextView,
@@ -215,12 +216,14 @@ def classify_situation(users: frozenset[str], target: str) -> str | None:
 class _SocialNode:
     __slots__ = ("children", "records", "users")
 
-    def __init__(self):
-        self.children: dict[tuple, _SocialNode] = {}
-        self.records: dict[frozenset[str], InfluenceRecord] = {}
+    def __init__(self, records: list[InfluenceRecord]):
+        self.children: Mapping[tuple, _SocialNode] = NO_CHILDREN
+        # in creation order; at most one per user set, and the tree interns
+        # its user sets, so a record is found by the identity of its set
+        self.records = records
         # on slot nodes, the union of all user sets recorded here: a cheap
         # prefilter for candidate discovery
-        self.users: set[str] | None = None
+        self.users: frozenset[str] | None = None
 
 
 def situation_labels(venue: str, temporal: TemporalContext) -> tuple[tuple, ...]:
@@ -232,7 +235,7 @@ def _holds(node: _SocialNode, classes: frozenset[str] | None) -> bool:
     """Whether the node has records a reader admitting ``classes`` sees."""
     if classes is None:
         return bool(node.records)
-    return any(rec.cls in classes for rec in node.records.values())
+    return any(rec.cls in classes for rec in node.records)
 
 
 def _in_creation_order(
@@ -242,7 +245,7 @@ def _in_creation_order(
     only those classes would have created them."""
     born = []
     for node in nodes:
-        for rec in node.records.values():
+        for rec in node.records:
             if rec.cls in classes:
                 born.append((rec.seq, node))
                 break
@@ -260,14 +263,19 @@ class SocialTree:
     ``classes`` to the query methods and see exactly what a tree storing
     only those classes would hold, in the same order; ``None`` means no
     filter.
+
+    The tree interns the user sets of its records, so equal sets are one
+    object and a node finds the record of a set by identity.
     """
 
     def __init__(self, classes: Iterable[str]):
-        self.root = _SocialNode()
+        self.root = _SocialNode([])
         self.classes = frozenset(classes)
         self.n_records = 0
         # temporal labels of a cell -> {venue: its slot node in that cell}
         self._cells: dict[tuple, dict[str, _SocialNode]] = {}
+        # one object per distinct user set of the tree's records
+        self._sets: dict[frozenset[str], frozenset[str]] = {}
 
     def record(
         self,
@@ -280,26 +288,36 @@ class SocialTree:
         """Add one occurrence of a ``cls`` situation along its path
         ``labels`` (``situation_labels``); the counters decay with
         ``config``'s drift."""
+        users = self._sets.setdefault(users, users)
         node = self.root
         for lab in labels:
             child = node.children.get(lab)
             if child is None:
-                child = node.children[lab] = _SocialNode()
-            rec = child.records.get(users)
-            if rec is None:
-                child.records[users] = InfluenceRecord(
-                    users, timestamp, 1.0, cls, 1, self.n_records
+                rec = InfluenceRecord(users, timestamp, 1.0, cls, 1, self.n_records)
+                self.n_records += 1
+                if node.children is NO_CHILDREN:
+                    node.children = {}
+                child = node.children[lab] = _SocialNode([rec])
+                node = child
+                continue
+            for rec in child.records:
+                if rec.users is users:
+                    rec.reinforce(timestamp, config)
+                    break
+            else:
+                rec = None
+                child.records.append(
+                    InfluenceRecord(users, timestamp, 1.0, cls, 1, self.n_records)
                 )
                 self.n_records += 1
-            else:
-                rec.reinforce(timestamp, config)
             node = child
-        # node is now the slot node, and rec its record as it was before
+        # node is now the slot node; rec is None when the slot had records
+        # but none of these users
         if node.users is None:
-            node.users = set(users)
+            node.users = users
             self._cells.setdefault(labels[1:], {})[labels[0][1]] = node
         elif rec is None:
-            node.users |= users
+            node.users = node.users | users
 
     def path_nodes(self, venue: str, temporal: TemporalContext) -> list[_SocialNode]:
         """Existing nodes along venue → day class → day → slot, root excluded."""
@@ -347,7 +365,7 @@ class SocialTree:
             if classes is None or any(
                 rec.cls in classes
                 and (user_set is None or not rec.users.isdisjoint(user_set))
-                for rec in node.records.values()
+                for rec in node.records
             ):
                 out.append(venue)
         return sorted(out)
@@ -377,7 +395,7 @@ class SocialTree:
             return 0.0
         total = 0.0
         users_now = frozenset(users_now)
-        for rec in node.records.values():
+        for rec in node.records:
             if classes is not None and rec.cls not in classes:
                 continue
             j = influence_jaccard(users_now, rec.users, tie)
@@ -396,7 +414,7 @@ class SocialTree:
             return 0.0
         return sum(
             rec.value_at(now, config)
-            for rec in node.records.values()
+            for rec in node.records
             if classes is None or rec.cls in classes
         )
 
@@ -414,7 +432,7 @@ class SocialTree:
                         "h": rec.hits,
                         "n": rec.seq,
                     }
-                    for rec in node.records.values()
+                    for rec in node.records
                 ],
                 "k": {
                     f"{lab[0]}:{lab[1]}": enc(child)
@@ -439,66 +457,71 @@ class SocialTree:
         their records load with no class, so that only readers without a
         class filter see them; the counter stands in for the hit count,
         and records and nodes keep the dump's order.
-        A malformed dump raises ParseError.
+        A malformed dump raises ParseError: among other faults, a counter
+        that is not a positive finite number, a hit count below 1, a
+        negative creation number, or two records of the same users in one
+        node.
         """
         version = data.get("version") if isinstance(data, dict) else None
         if version not in (1, 2) or data.get("format") != "socmob-social-tree":
             raise ValueError("not a version-1 or version-2 social tree dump")
+        classes = data.get("classes", sorted(ALL_CLASSES))
+        if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
+            raise ParseError("social tree: classes must be a list of strings")
+        tree = cls(classes)
 
         def dec_record(entry) -> InfluenceRecord:
             users = dump_field(entry, "users", list, "record")
             if not all(isinstance(u, str) for u in users):
                 raise ParseError("record: users must be strings")
             users = frozenset(users)
+            users = tree._sets.setdefault(users, users)
             last_seen = dump_field(entry, "t", int, "record")
             try:
                 counter = float(dump_field(entry, "c", str, "record"))
             except ValueError:
                 raise ParseError(f"record: bad counter {entry['c']!r}") from None
+            if not (math.isfinite(counter) and counter > 0.0):
+                raise ParseError(f"record: counter {entry['c']!r} is not a positive number")
             if version == 1:
                 return InfluenceRecord(users, last_seen, counter, None, counter)
+            hits = dump_field(entry, "h", int, "record")
+            seq = dump_field(entry, "n", int, "record")
+            if hits < 1 or seq < 0:
+                raise ParseError(f"record: hit count {hits} or creation number {seq} out of range")
             return InfluenceRecord(
                 users,
                 last_seen,
                 counter,
                 dump_field(entry, "cls", (str, type(None)), "record"),
-                dump_field(entry, "h", int, "record"),
-                dump_field(entry, "n", int, "record"),
+                hits,
+                seq,
             )
 
         def dec(payload, is_root: bool = False) -> _SocialNode:
-            node = _SocialNode()
-            for entry in dump_field(payload, "r", list, "social tree node"):
-                rec = dec_record(entry)
-                node.records[rec.users] = rec
-            if version == 2 and not is_root and not node.records:
+            records = [dec_record(e) for e in dump_field(payload, "r", list, "social tree node")]
+            if len({id(rec.users) for rec in records}) < len(records):
+                raise ParseError("social tree node: two records of the same users")
+            if version == 2 and not is_root and not records:
                 raise ParseError("social tree node: a version-2 node needs a record")
+            node = _SocialNode(records)
             children = {}
             for key, child in dump_field(payload, "k", dict, "social tree node").items():
                 children[decode_label(key)] = dec(child)
-            if version == 1:
-                node.children = children
-            else:
+            if version == 2:
                 # a node is created together with its first record
-                node.children = dict(
-                    sorted(
-                        children.items(),
-                        key=lambda kv: next(iter(kv[1].records.values())).seq,
-                    )
-                )
+                children = dict(sorted(children.items(), key=lambda kv: kv[1].records[0].seq))
+            if children:
+                node.children = children
             return node
 
-        classes = data.get("classes", sorted(ALL_CLASSES))
-        if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
-            raise ParseError("social tree: classes must be a list of strings")
-        tree = cls(classes)
         tree.root = dec(dump_field(data, "root", dict, "social tree"), is_root=True)
         tree.n_records = sum(1 for _ in _walk_records(tree.root))
         for (_, venue), vnode in tree.root.children.items():
             for wlab, wnode in vnode.children.items():
                 for dlab, dnode in wnode.children.items():
                     for slab, snode in dnode.children.items():
-                        snode.users = set().union(*snode.records)
+                        snode.users = frozenset().union(*(rec.users for rec in snode.records))
                         tree._cells.setdefault((wlab, dlab, slab), {})[venue] = snode
         return tree
 
@@ -511,7 +534,7 @@ class SocialTree:
 
 
 def _walk_records(node: _SocialNode):
-    yield from node.records.values()
+    yield from node.records
     for child in node.children.values():
         yield from _walk_records(child)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
@@ -84,11 +85,16 @@ def escape_chain(spatial: Sequence[str], temporal: TemporalContext) -> list[Cont
     return chain
 
 
+# the child map of every trie node without children, here and in the social
+# tree: read-only, so a node gets a dict of its own on its first child
+NO_CHILDREN: Mapping = MappingProxyType({})
+
+
 class _Node:
     __slots__ = ("children", "counts")
 
     def __init__(self):
-        self.children: dict[Label, _Node] = {}
+        self.children: Mapping[Label, _Node] = NO_CHILDREN
         self.counts: dict[str, int] = {}
 
 
@@ -123,6 +129,8 @@ class ContextTree:
     def _child(node: _Node, label: Label) -> _Node:
         nxt = node.children.get(label)
         if nxt is None:
+            if node.children is NO_CHILDREN:
+                node.children = {}
             nxt = node.children[label] = _Node()
         return nxt
 
@@ -257,8 +265,11 @@ def _decode_node(data: dict) -> _Node:
     node.counts = dict(dump_field(data, "c", dict, "context tree node"))
     if not all(isinstance(n, int) and not isinstance(n, bool) for n in node.counts.values()):
         raise ParseError("context tree node: counts must be integers")
+    if any(n < 1 for n in node.counts.values()):
+        raise ParseError("context tree node: counts must be at least 1")
     children = dump_field(data, "k", dict, "context tree node")
-    node.children = {decode_label(k): _decode_node(v) for k, v in children.items()}
+    if children:
+        node.children = {decode_label(k): _decode_node(v) for k, v in children.items()}
     return node
 
 

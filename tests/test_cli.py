@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import socmob
 from socmob import cli, errors
 from socmob.cli import main
 from socmob.ingestion import save_edges
@@ -133,6 +138,18 @@ class TestStatsHomophilyCorrelate:
         stats = json.loads(capsys.readouterr().out)
         assert stats["n_users"] == 24
         assert "avg_user_entropy" in stats
+
+    def test_stats_independent_of_hash_seed(self, corpus_dir):
+        argv = [sys.executable, "-m", "socmob.cli", "stats",
+                "--checkins", corpus_dir / "checkins.csv",
+                "--edges", corpus_dir / "edges.csv", "--activity-threshold", "5"]
+        src = str(Path(socmob.__file__).resolve().parents[1])
+        outputs = set()
+        for hash_seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            done = subprocess.run(argv, env=env, capture_output=True, check=True)
+            outputs.add(done.stdout)
+        assert len(outputs) == 1
 
     def test_homophily_pairs(self, corpus_dir, tmp_path, capsys):
         pairs = tmp_path / "pairs.csv"

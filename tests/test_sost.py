@@ -18,10 +18,11 @@ from socmob.sost import (
     classify_situation,
     drift_factor,
     influence_jaccard,
+    situation_labels,
     tie_strength,
     tie_strength_map,
 )
-from socmob.vomm import ContextTree, TreeConfig
+from socmob.vomm import ContextTree, TreeConfig, temporal_labels
 
 from conftest import make_checkin
 
@@ -32,6 +33,12 @@ T0 = 1_000_000
 def temporal_at(ts, cfg=None):
     cfg = cfg or TreeConfig()
     return cfg.temporal(ts)
+
+
+def record_of(node, users):
+    """The one record of ``users`` at a social tree node."""
+    (rec,) = [rec for rec in node.records if rec.users == frozenset(users)]
+    return rec
 
 
 class TestDrift:
@@ -267,7 +274,7 @@ class TestSocialTree:
         assert cls == "I"
         node = model.social.query_node("V", temporal_at(T0))
         assert node is not None
-        rec = node[0].records[frozenset({"me", "f"})]
+        rec = record_of(node[0], {"me", "f"})
         assert rec.counter == 1.0 and rec.last_seen == T0
 
     def test_repeat_zero_elapsed(self):
@@ -276,7 +283,7 @@ class TestSocialTree:
         model.record_social_context(u, "V", T0)
         model.record_social_context(u, "V", T0)
         node = model.social.query_node("V", temporal_at(T0))
-        assert node[0].records[u].counter == pytest.approx(2.0)
+        assert record_of(node[0], u).counter == pytest.approx(2.0)
 
     def test_class_ii_creates_path_for_unvisited_venue(self):
         model = SostModel("me", ["f", "g"])
@@ -306,7 +313,7 @@ class TestSocialTree:
         n1 = tree.query_node("V", temporal_at(T0))[0]
         n2 = clone.query_node("V", temporal_at(T0))[0]
         u = frozenset({"me", "f"})
-        assert n1.records[u].counter == n2.records[u].counter  # bit exact
+        assert record_of(n1, u).counter == record_of(n2, u).counter  # bit exact
         loaded = SostModel("me", ["f", "g"], config=cfg, social=clone)
         loaded.tie_mass = model.tie_mass = {"f": 0.6, "g": 0.4}
         for ts in (T0, T0 + 7200):
@@ -333,7 +340,7 @@ class TestSocialTree:
         assert tree.n_records == 4
         temporal = TemporalContext("workday", 1, 3)
         node, path = tree.query_node("V", temporal)
-        rec = node.records[frozenset({"me", "f"})]
+        rec = record_of(node, {"me", "f"})
         assert (rec.counter, rec.last_seen, rec.cls) == (2.5, T0, None)
         assert tree.venues_at(temporal, {"f"}) == ["V"]
         model = SostModel("me", ["f"], config=SostConfig(drift="none"), social=tree)
@@ -368,6 +375,38 @@ class TestSocialTree:
         if root is not None:
             dump["root"] = root
         with pytest.raises(ParseError):
+            SocialTree.loads(json.dumps(dump))
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"c": "nan", "h": -3},
+            {"c": "nan"},
+            {"c": "inf"},
+            {"c": "0.0"},
+            {"c": "-2.5"},
+            {"h": 0},
+            {"n": -1},
+        ],
+    )
+    def test_out_of_range_record_is_a_parse_error(self, fields):
+        entry = {"users": ["f", "me"], "t": T0, "c": "1.0", "cls": "I", "h": 1, "n": 0}
+        dump = {"format": "socmob-social-tree", "version": 2, "classes": ["I"],
+                "root": {"r": [], "k": {"L:V": {"r": [dict(entry, **fields)], "k": {}}}}}
+        with pytest.raises(ParseError):
+            SocialTree.loads(json.dumps(dump))
+
+    def test_version_1_counter_must_be_positive(self):
+        v1 = {"format": "socmob-social-tree", "version": 1,
+              "root": {"r": [{"users": ["me"], "t": 1, "c": "-1.0"}], "k": {}}}
+        with pytest.raises(ParseError):
+            SocialTree.from_dict(v1)
+
+    def test_two_records_of_the_same_users_are_a_parse_error(self):
+        entry = {"users": ["f", "me"], "t": T0, "c": "1.0", "cls": "I", "h": 1, "n": 0}
+        dump = {"format": "socmob-social-tree", "version": 2, "classes": ["I"],
+                "root": {"r": [], "k": {"L:V": {"r": [entry, dict(entry, n=1)], "k": {}}}}}
+        with pytest.raises(ParseError, match="same users"):
             SocialTree.loads(json.dumps(dump))
 
     def test_malformed_version_1_dump_and_bad_json_are_parse_errors(self):
@@ -608,7 +647,7 @@ class TestSharedStore:
         node, path = found
         return [
             (rec.users, rec.value_at(now, model.config))
-            for rec in node.records.values()
+            for rec in node.records
             if model.class_filter is None or rec.cls in model.class_filter
         ], len(path)
 
@@ -658,3 +697,179 @@ class TestSharedStore:
                         for estimator in ("A", "B"):
                             args = (venue, users_now, temporal, now, estimator)
                             assert a.social_prob(*args) == b.social_prob(*args)
+
+
+class _DictNode:
+    def __init__(self):
+        self.children = {}
+        self.records = {}
+        self.users = None
+
+
+class DictSocialTree:
+    """The earlier layout of ``SocialTree``: records keyed by their user set
+    in a dict at every node, and a dict of children at every node.  Kept as
+    the reference the compact layout must agree with."""
+
+    def __init__(self, classes):
+        self.root = _DictNode()
+        self.classes = frozenset(classes)
+        self.n_records = 0
+        self.cells = {}
+
+    def record(self, labels, users, timestamp, config, cls):
+        node = self.root
+        for lab in labels:
+            child = node.children.get(lab)
+            if child is None:
+                child = node.children[lab] = _DictNode()
+            rec = child.records.get(users)
+            if rec is None:
+                child.records[users] = InfluenceRecord(users, timestamp, 1.0, cls, 1, self.n_records)
+                self.n_records += 1
+            else:
+                rec.reinforce(timestamp, config)
+            node = child
+        if node.users is None:
+            node.users = set(users)
+            self.cells.setdefault(labels[1:], {})[labels[0][1]] = node
+        elif rec is None:
+            node.users |= users
+
+    def query_node(self, venue, temporal, classes=None):
+        nodes = []
+        node = self.root
+        for lab in situation_labels(venue, temporal):
+            node = node.children.get(lab)
+            if node is None:
+                break
+            nodes.append(node)
+        if len(nodes) == 4 and (
+            bool(nodes[3].records) if classes is None
+            else any(rec.cls in classes for rec in nodes[3].records.values())
+        ):
+            return nodes[3], nodes
+        return None
+
+    def venues_at(self, temporal, users=None, classes=None):
+        cell = self.cells.get(temporal_labels(temporal))
+        if not cell:
+            return []
+        user_set = None if users is None else frozenset(users)
+        out = []
+        for venue, node in cell.items():
+            if user_set is not None and node.users.isdisjoint(user_set):
+                continue
+            if classes is None or any(
+                rec.cls in classes and (user_set is None or not rec.users.isdisjoint(user_set))
+                for rec in node.records.values()
+            ):
+                out.append(venue)
+        return sorted(out)
+
+    def normalizer_nodes(self, path, classes=None):
+        groups = [self.root.children.values()]
+        groups.extend(parent.children.values() for parent in path[:-1])
+        if classes is None:
+            return [node for group in groups for node in group]
+        out = []
+        for group in groups:
+            born = []
+            for node in group:
+                for rec in node.records.values():
+                    if rec.cls in classes:
+                        born.append((rec.seq, node))
+                        break
+            born.sort(key=lambda pair: pair[0])
+            out += [node for _, node in born]
+        return out
+
+    def dumps(self):
+        def enc(node):
+            return {
+                "r": [
+                    {"users": sorted(rec.users), "cls": rec.cls, "t": rec.last_seen,
+                     "c": repr(rec.counter), "h": rec.hits, "n": rec.seq}
+                    for rec in node.records.values()
+                ],
+                "k": {
+                    f"{lab[0]}:{lab[1]}": enc(child)
+                    for lab, child in sorted(
+                        node.children.items(), key=lambda kv: f"{kv[0][0]}:{kv[0][1]}"
+                    )
+                },
+            }
+
+        return json.dumps(
+            {"format": "socmob-social-tree", "version": 2,
+             "classes": sorted(self.classes), "root": enc(self.root)},
+            sort_keys=True,
+        )
+
+
+def _records(node):
+    records = node.records.values() if isinstance(node.records, dict) else node.records
+    return [
+        (sorted(r.users), r.cls, r.last_seen, r.counter, r.hits, r.seq) for r in records
+    ]
+
+
+class TestCompactLayout:
+    """``SocialTree`` reads and dumps exactly what the dict layout did."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        # user sets as lists, so that each occurrence makes a new frozenset
+        stream=st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(CIRCLE), min_size=1, max_size=4),
+                st.sampled_from(sorted(ALL_CLASSES)),
+                st.sampled_from(["A", "B", "C"]),
+                st.sampled_from([0, 0, 600, HOUR, 2 * HOUR, 86_400, 6 * 86_400]),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        drift=st.sampled_from(["none", "geometric", "exponential"]),
+        split=st.floats(0.0, 1.0),
+    )
+    def test_matches_dict_layout(self, stream, drift, split):
+        config = SostConfig(drift=drift)
+        tree, ref = SocialTree(ALL_CLASSES), DictSocialTree(ALL_CLASSES)
+        cut = int(split * len(stream))
+        ts = T0
+        steps = []
+        for users, cls, venue, step in stream:
+            ts += step
+            steps.append((situation_labels(venue, temporal_at(ts)), users, ts, cls))
+        reloaded = None
+        for i, (labels, users, ts, cls) in enumerate(steps):
+            if i == cut:
+                reloaded = SocialTree.loads(tree.dumps())
+            tree.record(labels, frozenset(users), ts, config, cls)
+            ref.record(labels, frozenset(users), ts, config, cls)
+            if reloaded is not None:
+                reloaded.record(labels, frozenset(users), ts, config, cls)
+        assert tree.dumps() == ref.dumps()
+        assert tree.n_records == ref.n_records
+        if reloaded is not None:
+            assert reloaded.dumps() == tree.dumps()
+            assert reloaded.n_records == tree.n_records
+
+        cells = {temporal_at(ts) for _, _, ts, _ in steps}
+        for classes in [None] + CLASS_SETS:
+            for temporal in cells:
+                for users_now in (None, {"f1"}, {"me", "f2"}, set(CIRCLE)):
+                    assert tree.venues_at(temporal, users_now, classes) == (
+                        ref.venues_at(temporal, users_now, classes)
+                    )
+                for venue in ("A", "B", "C"):
+                    got = tree.query_node(venue, temporal, classes)
+                    want = ref.query_node(venue, temporal, classes)
+                    assert (got is None) == (want is None)
+                    if got is None:
+                        continue
+                    assert [_records(n) for n in got[1]] == [_records(n) for n in want[1]]
+                    assert [_records(n) for n in tree.normalizer_nodes(got[1], classes)] == [
+                        _records(n) for n in ref.normalizer_nodes(want[1], classes)
+                    ]

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -347,6 +349,26 @@ class TestSerialization:
     def test_malformed_dump_is_a_parse_error(self, text):
         with pytest.raises(ParseError):
             ContextTree.loads(text)
+
+    @pytest.mark.parametrize(
+        "root",
+        [
+            # a zero count at the root, a negative one below it
+            {"c": {"A": 1, "B": 0}, "k": {"W:0": {"c": {"A": 1, "B": -1}, "k": {}}}},
+            # a well-formed root over a zero count
+            {"c": {"A": 1}, "k": {"W:0": {"c": {"A": 0}, "k": {}}}},
+        ],
+    )
+    def test_counts_below_one_are_a_parse_error(self, root):
+        dump = {
+            "format": "socmob-context-tree",
+            "version": 1,
+            "config": {"kappa": 3, "slot_hours": 1, "utc_offset_hours": 0},
+            "n_events": 1,
+            "root": root,
+        }
+        with pytest.raises(ParseError, match="at least 1"):
+            ContextTree.loads(json.dumps(dump))
 
 
 class TestMergedView:
