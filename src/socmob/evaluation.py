@@ -317,6 +317,8 @@ def evaluate(
             models[name][tgt] = clone
         for u in neighbors | {tgt}:
             watchers.setdefault(u, []).append(tgt)
+    # the situation of a watched user with none of a target's circle nearby
+    lone = {u: frozenset((u,)) for u in watchers}
 
     recent: dict[str, list[tuple[int, str]]] = {}
     prev_venues: dict[str, list[str]] = {}
@@ -376,12 +378,14 @@ def evaluate(
             # the variants share the target's trend view: one trend
             # prediction serves them all, for this event only
             trend_memo: list = []
+            # variants whose social reads agree share their factors
+            social_memo: dict = {}
             for name in variant_names:
                 model = models[name][u]
                 try:
                     if key is not None:
                         outcome = model.rank_with(
-                            key, dist, unseen, t, users_now, trend_memo
+                            key, dist, unseen, t, users_now, trend_memo, social_memo
                         )
                     else:
                         outcome = model.predict_next(
@@ -426,6 +430,8 @@ def evaluate(
                     counts_week[w] = counts_week.get(w, 0) + 1
                     if ts >= t - sit_window:
                         present_window.add(w)
+            # each situation below adds u itself
+            present_window.discard(u)
             labels = situation_labels(v, temporal)
             for tgt in interested:
                 primary = models["primary"][tgt]
@@ -437,7 +443,15 @@ def evaluate(
                     c = counts_week.get(tgt, 0)
                     if c:
                         primary.add_tie_mass(u, float(c))
-                situation = frozenset(present_window & primary._circle | {u})
+                near = present_window & primary._circle
+                if near:
+                    near.add(u)
+                    situation = frozenset(near)
+                elif u == tgt:
+                    # the target alone is no situation (classify_situation)
+                    continue
+                else:
+                    situation = lone[u]
                 primary.record_social_context(situation, v, t, labels=labels)
 
         lst = recent.setdefault(v, [])

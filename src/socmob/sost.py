@@ -266,16 +266,41 @@ class SocialTree:
 
     The tree interns the user sets of its records, so equal sets are one
     object and a node finds the record of a set by identity.
+
+    ``record`` writes only the slot level, which ``_cells`` indexes and
+    which ``slot_node``, ``venues_at`` and the estimator-B reads use.  The
+    venue, day-class and day levels are built by replaying the pending
+    writes in order when something first reads them: ``root``,
+    ``n_records``, ``path_nodes``, ``normalizer_nodes`` and the dumps.
+    The replay leaves counters, creation numbers and child order exactly
+    as writing every level at once would have.
     """
 
     def __init__(self, classes: Iterable[str]):
-        self.root = _SocialNode([])
+        self._root = _SocialNode([])
         self.classes = frozenset(classes)
-        self.n_records = 0
+        self._n_records = 0
         # temporal labels of a cell -> {venue: its slot node in that cell}
         self._cells: dict[tuple, dict[str, _SocialNode]] = {}
         # one object per distinct user set of the tree's records
         self._sets: dict[frozenset[str], frozenset[str]] = {}
+        # writes the coarse levels have not seen yet, four items each:
+        # labels, slot record, timestamp, config
+        self._pending: list = []
+        # the latest timestamp written; counters that decay are never
+        # reinforced at an earlier time, so the replay cannot fail
+        self._latest: float = -math.inf
+
+    @property
+    def root(self) -> _SocialNode:
+        self._catch_up()
+        return self._root
+
+    @property
+    def n_records(self) -> int:
+        """Number of records stored at all levels."""
+        self._catch_up()
+        return self._n_records
 
     def record(
         self,
@@ -287,37 +312,99 @@ class SocialTree:
     ) -> None:
         """Add one occurrence of a ``cls`` situation along its path
         ``labels`` (``situation_labels``); the counters decay with
-        ``config``'s drift."""
+        ``config``'s drift.
+
+        Raises ValueError, and stores nothing, when counters decay and
+        ``timestamp`` is earlier than one written before it.
+        """
+        if timestamp < self._latest:
+            if config.drift != "none":
+                raise ValueError("elapsed time is negative")
+        else:
+            self._latest = timestamp
         users = self._sets.setdefault(users, users)
-        node = self.root
-        for lab in labels:
-            child = node.children.get(lab)
-            if child is None:
-                rec = InfluenceRecord(users, timestamp, 1.0, cls, 1, self.n_records)
-                self.n_records += 1
-                if node.children is NO_CHILDREN:
-                    node.children = {}
-                child = node.children[lab] = _SocialNode([rec])
-                node = child
-                continue
-            for rec in child.records:
+        cell = self._cells.get(labels[1:])
+        node = None if cell is None else cell.get(labels[0][1])
+        if node is None:
+            # seq -1: the creation number is given when the levels above
+            # are built
+            rec = InfluenceRecord(users, timestamp, 1.0, cls, 1, -1)
+            node = _SocialNode([rec])
+            node.users = users
+            if cell is None:
+                cell = self._cells[labels[1:]] = {}
+            cell[labels[0][1]] = node
+        else:
+            for rec in node.records:
                 if rec.users is users:
                     rec.reinforce(timestamp, config)
                     break
             else:
-                rec = None
-                child.records.append(
-                    InfluenceRecord(users, timestamp, 1.0, cls, 1, self.n_records)
-                )
-                self.n_records += 1
-            node = child
-        # node is now the slot node; rec is None when the slot had records
-        # but none of these users
-        if node.users is None:
-            node.users = users
-            self._cells.setdefault(labels[1:], {})[labels[0][1]] = node
-        elif rec is None:
-            node.users = node.users | users
+                rec = InfluenceRecord(users, timestamp, 1.0, cls, 1, -1)
+                node.records.append(rec)
+                node.users = node.users | users
+        self._pending.extend((labels, rec, timestamp, config))
+
+    def _catch_up(self) -> None:
+        """Write the pending situations to the venue, day-class and day
+        levels, in the order they were recorded."""
+        if not self._pending:
+            return
+        pending = self._pending
+        self._pending = []
+        seq = self._n_records
+        steps = iter(pending)
+        for labels, slot_rec, timestamp, config in zip(steps, steps, steps, steps):
+            users = slot_rec.users
+            node = self._root
+            for lab in labels[:3]:
+                child = node.children.get(lab)
+                if child is None:
+                    if node.children is NO_CHILDREN:
+                        node.children = {}
+                    child = node.children[lab] = _SocialNode(
+                        [InfluenceRecord(users, timestamp, 1.0, slot_rec.cls, 1, seq)]
+                    )
+                    seq += 1
+                    node = child
+                    continue
+                for rec in child.records:
+                    if rec.users is users:
+                        rec.reinforce(timestamp, config)
+                        break
+                else:
+                    child.records.append(
+                        InfluenceRecord(users, timestamp, 1.0, slot_rec.cls, 1, seq)
+                    )
+                    seq += 1
+                node = child
+            if slot_rec.seq < 0:
+                # the first write of this record, and of its slot node when
+                # the node is new
+                slot_rec.seq = seq
+                seq += 1
+                if labels[3] not in node.children:
+                    if node.children is NO_CHILDREN:
+                        node.children = {}
+                    node.children[labels[3]] = self._cells[labels[1:]][labels[0][1]]
+        self._n_records = seq
+
+    def slot_node(
+        self,
+        venue: str,
+        temporal: TemporalContext,
+        classes: frozenset[str] | None = None,
+    ) -> _SocialNode | None:
+        """The node for the venue's full temporal context.
+
+        Returns None when the exact cell holds no records of ``classes``;
+        evidence from other slots or days deliberately does not leak across
+        cells.
+        """
+        node = self._cells.get(temporal_labels(temporal), {}).get(venue)
+        if node is None or not _holds(node, classes):
+            return None
+        return node
 
     def path_nodes(self, venue: str, temporal: TemporalContext) -> list[_SocialNode]:
         """Existing nodes along venue → day class → day → slot, root excluded."""
@@ -329,22 +416,6 @@ class SocialTree:
                 break
             nodes.append(node)
         return nodes
-
-    def query_node(
-        self,
-        venue: str,
-        temporal: TemporalContext,
-        classes: frozenset[str] | None = None,
-    ) -> tuple[_SocialNode, list[_SocialNode]] | None:
-        """The node for the venue's full temporal context, with its path.
-
-        Returns None when the exact cell holds no records; evidence from
-        other slots or days deliberately does not leak across cells.
-        """
-        nodes = self.path_nodes(venue, temporal)
-        if len(nodes) == 4 and _holds(nodes[3], classes):
-            return nodes[3], nodes
-        return None
 
     def venues_at(
         self,
@@ -515,14 +586,15 @@ class SocialTree:
                 node.children = children
             return node
 
-        tree.root = dec(dump_field(data, "root", dict, "social tree"), is_root=True)
-        tree.n_records = sum(1 for _ in _walk_records(tree.root))
-        for (_, venue), vnode in tree.root.children.items():
+        tree._root = dec(dump_field(data, "root", dict, "social tree"), is_root=True)
+        tree._n_records = sum(1 for _ in _walk_records(tree._root))
+        for (_, venue), vnode in tree._root.children.items():
             for wlab, wnode in vnode.children.items():
                 for dlab, dnode in wnode.children.items():
                     for slab, snode in dnode.children.items():
                         snode.users = frozenset().union(*(rec.users for rec in snode.records))
                         tree._cells.setdefault((wlab, dlab, slab), {})[venue] = snode
+        tree._latest = max((rec.last_seen for rec in _walk_records(tree._root)), default=-math.inf)
         return tree
 
     def dumps(self) -> str:
@@ -581,6 +653,15 @@ class SostModel:
             None if self.social.classes <= self.config.classes else self.config.classes
         )
         self._circle = self.neighbors | {target}
+        # models of one target whose social reads agree, given one store and
+        # one set of tie masses, share this key (``rank_with``'s memo)
+        self._reads = (
+            self.class_filter,
+            self.config.drift,
+            self.config.beta,
+            self.config.stay_hours,
+            self.config.estimator,
+        )
         self.trend = trend
         # raw co-location masses; influence_jaccard is scale invariant so
         # these never need normalizing
@@ -607,7 +688,9 @@ class SostModel:
         classes only.  Returns the class that was recorded, or None when
         gated off.
         """
-        users = frozenset(users) & self._circle
+        users = frozenset(users)
+        if not users <= self._circle:
+            users &= self._circle
         if cls is None:
             cls = classify_situation(users, self.target)
         if cls is None or cls not in self.social.classes:
@@ -618,7 +701,8 @@ class SostModel:
             labels = situation_labels(venue, temporal)
         self.social.record(labels, users, timestamp, self.config, cls)
         if cls in self.config.classes:
-            self.influencers.update(users - {self.target})
+            self.influencers.update(users)
+            self.influencers.discard(self.target)
         return cls
 
     def add_tie_mass(self, friend: str, mass: float) -> None:
@@ -634,11 +718,13 @@ class SostModel:
         temporal: TemporalContext,
         now: int | None = None,
     ) -> float:
-        found = self.social.query_node(venue, temporal, self.class_filter)
-        if found is None:
-            return 0.0
         return SocialTree.effective_counter(
-            found[0], users_now, self.tie_mass, now, self.config, self.class_filter
+            self.social.slot_node(venue, temporal, self.class_filter),
+            users_now,
+            self.tie_mass,
+            now,
+            self.config,
+            self.class_filter,
         )
 
     def social_prob(
@@ -650,23 +736,36 @@ class SostModel:
         estimator: str | None = None,
     ) -> float:
         """Social probability mass for one venue under the active situation."""
-        estimator = estimator or self.config.estimator
-        classes = self.class_filter
-        found = self.social.query_node(venue, temporal, classes)
-        if found is None:
+        eta = self.social.slot_node(venue, temporal, self.class_filter)
+        if eta is None:
             return 0.0
-        eta, path = found
+        return self._prob_at(eta, venue, users_now, temporal, now, estimator)
+
+    def _prob_at(
+        self,
+        eta: _SocialNode,
+        venue: str,
+        users_now: Iterable[str],
+        temporal: TemporalContext,
+        now: int | None,
+        estimator: str | None = None,
+    ) -> float:
+        """``social_prob`` given the venue's slot node ``eta``, which holds
+        records of this model's classes."""
+        classes = self.class_filter
         num = SocialTree.effective_counter(
             eta, users_now, self.tie_mass, now, self.config, classes
         )
         if num <= 0.0:
             return 0.0
-        if estimator == "B":
+        if (estimator or self.config.estimator) == "B":
             den = SocialTree.raw_total(eta, now, self.config, classes)
             return num / den if den > 0.0 else 0.0
         # estimator A: normalize over the node, its ancestors, and their
         # sibling nodes
-        siblings = self.social.normalizer_nodes(path, classes)
+        siblings = self.social.normalizer_nodes(
+            self.social.path_nodes(venue, temporal), classes
+        )
         den = float(len(siblings))
         for node in siblings:
             den += SocialTree.effective_counter(
@@ -691,9 +790,10 @@ class SostModel:
             return None
         # a venue without a slot node in this temporal cell scores 0.0
         probs = dict.fromkeys(candidates, 0.0)
-        for q in self.social._cells.get(temporal_labels(temporal), {}):
-            if q in probs:
-                probs[q] = self.social_prob(q, users_now, temporal, now=now)
+        classes = self.class_filter
+        for q, eta in self.social._cells.get(temporal_labels(temporal), {}).items():
+            if q in probs and _holds(eta, classes):
+                probs[q] = self._prob_at(eta, q, users_now, temporal, now)
         if all(p <= 0.0 for p in probs.values()):
             return None
         return probs
@@ -708,6 +808,7 @@ class SostModel:
         timestamp: int,
         users_now: frozenset[str] | None = None,
         trend_memo: list | None = None,
+        social_memo: dict | None = None,
     ) -> PredictOutcome:
         """Prediction given a precomputed individual distribution.
 
@@ -719,18 +820,33 @@ class SostModel:
         gate threshold), that is, when the main model has no evidence
         above its uniform floor.  ``trend_memo`` is as for
         ``_trend_prediction``.
+
+        ``social_memo`` lets the models of one target that share the store
+        and the tie masses, and agree in class filter, drift, beta, stay
+        time and estimator, compute the social candidates and factors once
+        per event: the first call stores them in the dict, and later calls
+        with the same other arguments reuse them.  Pass a new empty dict
+        for each event.
         """
         active = bool(users_now and len(users_now) >= 2)
         factors: dict[str, float] | None = None
         if active:
-            social_venues = self.social.venues_at(key.temporal, users_now, self.class_filter)
-            if any(q not in dist for q in social_venues):
-                dist = dict(dist)
-                for q in social_venues:
-                    dist.setdefault(q, unseen)
-            factors = self.social_factors(
-                dist.keys(), users_now, key.temporal, now=timestamp
-            )
+            shared = None if social_memo is None else social_memo.get(self._reads)
+            if shared is None:
+                social_venues = self.social.venues_at(
+                    key.temporal, users_now, self.class_filter
+                )
+                if any(q not in dist for q in social_venues):
+                    dist = dict(dist)
+                    for q in social_venues:
+                        dist.setdefault(q, unseen)
+                factors = self.social_factors(
+                    dist.keys(), users_now, key.temporal, now=timestamp
+                )
+                if social_memo is not None:
+                    social_memo[self._reads] = (dist, factors)
+            else:
+                dist, factors = shared
         matched = factors is not None
         best_q: str | None = None
         best_p = -1.0

@@ -321,8 +321,9 @@ class TestSharedStoreVariants:
 
 
 class TestOncePerEvent:
-    """The variants of one target make at most one trend prediction per
-    scored event, and sharing it changes nothing in the report."""
+    """Within one scored event, the variants of one target make at most one
+    trend prediction, and the variants whose social reads agree compute one
+    set of social factors; sharing changes nothing in the report."""
 
     @pytest.fixture(scope="class")
     def corpus(self):
@@ -333,32 +334,30 @@ class TestOncePerEvent:
         return generate(cfg)[0]
 
     @staticmethod
-    def _run(corpus, monkeypatch, share: bool):
-        """The report and the most trend predictions made between two
-        consecutive training events, that is, within one scored event."""
+    def _run(corpus, monkeypatch, owner, method, unshared=None):
+        """The report and the most calls of ``owner.method`` made between two
+        consecutive training events, that is, within one scored event.
+        ``unshared`` is a (name, function) pair that replaces the
+        ``SostModel`` method sharing the result."""
         calls = [0]
         most = [0]
-        predict = MergedContextView.predict
+        counted_method = getattr(owner, method)
         observe = ContextTree.observe
-        trend_prediction = SostModel._trend_prediction
 
-        def counted_predict(self, *args, **kwargs):
+        def counted(self, *args, **kwargs):
             calls[0] += 1
-            return predict(self, *args, **kwargs)
+            return counted_method(self, *args, **kwargs)
 
         def counted_observe(self, *args, **kwargs):
             most[0] = max(most[0], calls[0])
             calls[0] = 0
             return observe(self, *args, **kwargs)
 
-        def unshared(self, spatial, timestamp, memo=None):
-            return trend_prediction(self, spatial, timestamp)
-
         with monkeypatch.context() as m:
-            m.setattr(MergedContextView, "predict", counted_predict)
+            m.setattr(owner, method, counted)
             m.setattr(ContextTree, "observe", counted_observe)
-            if not share:
-                m.setattr(SostModel, "_trend_prediction", unshared)
+            if unshared is not None:
+                m.setattr(SostModel, *unshared)
             report = evaluate(
                 corpus, SostConfig(), class_sweep=True, drift_compare=True,
                 record_predictions=True,
@@ -366,10 +365,34 @@ class TestOncePerEvent:
         return report, most[0]
 
     def test_one_trend_prediction_per_event(self, corpus, monkeypatch):
-        shared, most_shared = self._run(corpus, monkeypatch, share=True)
-        unshared, most_unshared = self._run(corpus, monkeypatch, share=False)
+        trend_prediction = SostModel._trend_prediction
+
+        def unshared(self, spatial, timestamp, memo=None):
+            return trend_prediction(self, spatial, timestamp)
+
+        shared, most_shared = self._run(corpus, monkeypatch, MergedContextView, "predict")
+        unshared, most_unshared = self._run(
+            corpus, monkeypatch, MergedContextView, "predict", ("_trend_prediction", unshared)
+        )
         assert most_shared == 1
         # two variants use the trend, so without sharing an event makes two
         assert most_unshared == 2
+        assert shared.to_dict() == unshared.to_dict()
+        assert shared.predictions == unshared.predictions
+
+    def test_one_social_factors_per_read_setting(self, corpus, monkeypatch):
+        rank_with = SostModel.rank_with
+
+        def unshared(self, key, dist, unseen, timestamp, users_now=None,
+                     trend_memo=None, social_memo=None):
+            return rank_with(self, key, dist, unseen, timestamp, users_now, trend_memo)
+        shared, most_shared = self._run(corpus, monkeypatch, SostModel, "social_factors")
+        unshared, most_unshared = self._run(
+            corpus, monkeypatch, SostModel, "social_factors", ("rank_with", unshared)
+        )
+        # primary and classes_I_II_III read the whole store with the same
+        # drift and estimator; the other three variants differ from them
+        assert most_shared == 4
+        assert most_unshared == 5
         assert shared.to_dict() == unshared.to_dict()
         assert shared.predictions == unshared.predictions

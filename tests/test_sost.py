@@ -272,9 +272,9 @@ class TestSocialTree:
         model = SostModel("me", ["f"])
         cls = model.record_social_context(frozenset({"me", "f"}), "V", T0)
         assert cls == "I"
-        node = model.social.query_node("V", temporal_at(T0))
+        node = model.social.slot_node("V", temporal_at(T0))
         assert node is not None
-        rec = record_of(node[0], {"me", "f"})
+        rec = record_of(node, {"me", "f"})
         assert rec.counter == 1.0 and rec.last_seen == T0
 
     def test_repeat_zero_elapsed(self):
@@ -282,19 +282,20 @@ class TestSocialTree:
         u = frozenset({"me", "f"})
         model.record_social_context(u, "V", T0)
         model.record_social_context(u, "V", T0)
-        node = model.social.query_node("V", temporal_at(T0))
-        assert record_of(node[0], u).counter == pytest.approx(2.0)
+        node = model.social.slot_node("V", temporal_at(T0))
+        assert record_of(node, u).counter == pytest.approx(2.0)
 
     def test_class_ii_creates_path_for_unvisited_venue(self):
         model = SostModel("me", ["f", "g"])
         cls = model.record_social_context(frozenset({"f", "g"}), "NEVER", T0)
         assert cls == "II"
-        assert model.social.query_node("NEVER", temporal_at(T0)) is not None
+        assert model.social.slot_node("NEVER", temporal_at(T0)) is not None
+        assert len(model.social.path_nodes("NEVER", temporal_at(T0))) == 4
 
     def test_class_gating(self):
         model = SostModel("me", ["f"], config=SostConfig(classes=frozenset({"II"})))
         assert model.record_social_context(frozenset({"me", "f"}), "V", T0) is None
-        assert model.social.query_node("V", temporal_at(T0)) is None
+        assert model.social.slot_node("V", temporal_at(T0)) is None
 
     def test_strangers_filtered(self):
         model = SostModel("me", ["f"])
@@ -310,8 +311,8 @@ class TestSocialTree:
         tree = model.social
         clone = SocialTree.loads(tree.dumps())
         assert clone.dumps() == tree.dumps()
-        n1 = tree.query_node("V", temporal_at(T0))[0]
-        n2 = clone.query_node("V", temporal_at(T0))[0]
+        n1 = tree.slot_node("V", temporal_at(T0))
+        n2 = clone.slot_node("V", temporal_at(T0))
         u = frozenset({"me", "f"})
         assert record_of(n1, u).counter == record_of(n2, u).counter  # bit exact
         loaded = SostModel("me", ["f", "g"], config=cfg, social=clone)
@@ -339,7 +340,7 @@ class TestSocialTree:
         tree = SocialTree.from_dict(v1)
         assert tree.n_records == 4
         temporal = TemporalContext("workday", 1, 3)
-        node, path = tree.query_node("V", temporal)
+        node = tree.slot_node("V", temporal)
         rec = record_of(node, {"me", "f"})
         assert (rec.counter, rec.last_seen, rec.cls) == (2.5, T0, None)
         assert tree.venues_at(temporal, {"f"}) == ["V"]
@@ -641,15 +642,14 @@ class TestSharedStore:
     """Each reader of a shared store sees what a store of its own holds."""
 
     @staticmethod
-    def visible(model, found, now):
-        if found is None:
+    def visible(model, node, now):
+        if node is None:
             return None
-        node, path = found
         return [
             (rec.users, rec.value_at(now, model.config))
             for rec in node.records
             if model.class_filter is None or rec.cls in model.class_filter
-        ], len(path)
+        ]
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -691,8 +691,8 @@ class TestSharedStore:
                     )
                 for venue in ("A", "B", "C"):
                     assert self.visible(
-                        a, a.social.query_node(venue, temporal, a.class_filter), now
-                    ) == self.visible(b, b.social.query_node(venue, temporal), now)
+                        a, a.social.slot_node(venue, temporal, a.class_filter), now
+                    ) == self.visible(b, b.social.slot_node(venue, temporal), now)
                     for users_now in ({"me", "f1"}, {"f2", "f3"}, set(CIRCLE)):
                         for estimator in ("A", "B"):
                             args = (venue, users_now, temporal, now, estimator)
@@ -736,7 +736,7 @@ class DictSocialTree:
         elif rec is None:
             node.users |= users
 
-    def query_node(self, venue, temporal, classes=None):
+    def path_nodes(self, venue, temporal):
         nodes = []
         node = self.root
         for lab in situation_labels(venue, temporal):
@@ -744,6 +744,10 @@ class DictSocialTree:
             if node is None:
                 break
             nodes.append(node)
+        return nodes
+
+    def query_node(self, venue, temporal, classes=None):
+        nodes = self.path_nodes(venue, temporal)
         if len(nodes) == 4 and (
             bool(nodes[3].records) if classes is None
             else any(rec.cls in classes for rec in nodes[3].records.values())
@@ -815,7 +819,37 @@ def _records(node):
 
 
 class TestCompactLayout:
-    """``SocialTree`` reads and dumps exactly what the dict layout did."""
+    """``SocialTree`` reads and dumps exactly what the dict layout did, which
+    wrote every level of a situation's path at once, whenever the reads
+    come between the writes."""
+
+    @staticmethod
+    def assert_reads_match(tree, ref, cells):
+        assert tree.n_records == ref.n_records
+        assert tree.dumps() == ref.dumps()
+        for classes in [None] + CLASS_SETS:
+            for temporal in cells:
+                for users_now in (None, {"f1"}, {"me", "f2"}, set(CIRCLE)):
+                    assert tree.venues_at(temporal, users_now, classes) == (
+                        ref.venues_at(temporal, users_now, classes)
+                    )
+                for venue in ("A", "B", "C"):
+                    assert [_records(n) for n in tree.path_nodes(venue, temporal)] == [
+                        _records(n) for n in ref.path_nodes(venue, temporal)
+                    ]
+                    path = tree.path_nodes(venue, temporal)
+                    want = ref.query_node(venue, temporal, classes)
+                    assert [_records(n) for n in path] == [
+                        _records(n) for n in ref.path_nodes(venue, temporal)
+                    ]
+                    slot = tree.slot_node(venue, temporal, classes)
+                    if want is None:
+                        assert slot is None
+                        continue
+                    assert slot is path[3]
+                    assert [_records(n) for n in tree.normalizer_nodes(path, classes)] == [
+                        _records(n) for n in ref.normalizer_nodes(want[1], classes)
+                    ]
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -832,8 +866,10 @@ class TestCompactLayout:
         ),
         drift=st.sampled_from(["none", "geometric", "exponential"]),
         split=st.floats(0.0, 1.0),
+        # positions in the stream after which every read is compared
+        read_after=st.sets(st.integers(0, 39), max_size=4),
     )
-    def test_matches_dict_layout(self, stream, drift, split):
+    def test_matches_dict_layout(self, stream, drift, split, read_after):
         config = SostConfig(drift=drift)
         tree, ref = SocialTree(ALL_CLASSES), DictSocialTree(ALL_CLASSES)
         cut = int(split * len(stream))
@@ -842,6 +878,7 @@ class TestCompactLayout:
         for users, cls, venue, step in stream:
             ts += step
             steps.append((situation_labels(venue, temporal_at(ts)), users, ts, cls))
+        cells = {temporal_at(ts) for _, _, ts, _ in steps}
         reloaded = None
         for i, (labels, users, ts, cls) in enumerate(steps):
             if i == cut:
@@ -850,26 +887,29 @@ class TestCompactLayout:
             ref.record(labels, frozenset(users), ts, config, cls)
             if reloaded is not None:
                 reloaded.record(labels, frozenset(users), ts, config, cls)
-        assert tree.dumps() == ref.dumps()
-        assert tree.n_records == ref.n_records
+            if i in read_after:
+                self.assert_reads_match(tree, ref, cells)
+                if reloaded is not None:
+                    self.assert_reads_match(reloaded, ref, cells)
+        self.assert_reads_match(tree, ref, cells)
         if reloaded is not None:
             assert reloaded.dumps() == tree.dumps()
             assert reloaded.n_records == tree.n_records
 
-        cells = {temporal_at(ts) for _, _, ts, _ in steps}
-        for classes in [None] + CLASS_SETS:
-            for temporal in cells:
-                for users_now in (None, {"f1"}, {"me", "f2"}, set(CIRCLE)):
-                    assert tree.venues_at(temporal, users_now, classes) == (
-                        ref.venues_at(temporal, users_now, classes)
-                    )
-                for venue in ("A", "B", "C"):
-                    got = tree.query_node(venue, temporal, classes)
-                    want = ref.query_node(venue, temporal, classes)
-                    assert (got is None) == (want is None)
-                    if got is None:
-                        continue
-                    assert [_records(n) for n in got[1]] == [_records(n) for n in want[1]]
-                    assert [_records(n) for n in tree.normalizer_nodes(got[1], classes)] == [
-                        _records(n) for n in ref.normalizer_nodes(want[1], classes)
-                    ]
+    def test_earlier_timestamp_with_drift_is_refused(self):
+        tree = SocialTree(ALL_CLASSES)
+        config = SostConfig(drift="geometric")
+        tree.record(situation_labels("A", temporal_at(T0)), frozenset({"f1"}), T0, config, "III")
+        before = tree.dumps()
+        earlier = T0 - HOUR
+        with pytest.raises(ValueError):
+            tree.record(
+                situation_labels("B", temporal_at(earlier)), frozenset({"f2"}), earlier, config, "III"
+            )
+        assert tree.dumps() == before
+        # without drift nothing decays, and any order is accepted
+        tree.record(
+            situation_labels("B", temporal_at(earlier)), frozenset({"f2"}), earlier,
+            SostConfig(drift="none"), "III",
+        )
+        assert tree.n_records == 8
