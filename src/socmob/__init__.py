@@ -4,11 +4,9 @@ next-location prediction over location-based social network traces."""
 from .core import (
     CheckIn,
     SocialGraph,
-    SocialSituation,
     TemporalContext,
     Venue,
     home_location,
-    location_entropy,
     user_entropy,
 )
 from .errors import SocmobError
@@ -25,7 +23,6 @@ __all__ = [
     "Dataset",
     "IngestConfig",
     "SocialGraph",
-    "SocialSituation",
     "SocmobError",
     "SostConfig",
     "SostModel",
@@ -34,7 +31,6 @@ __all__ = [
     "Venue",
     "home_location",
     "load_dataset",
-    "location_entropy",
     "user_entropy",
     "__version__",
 ]

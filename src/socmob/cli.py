@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -65,6 +66,10 @@ class _Parser(argparse.ArgumentParser):
     """Raises UsageError instead of printing usage text and exiting, so
     that `main` reports a bad command line as one JSON record; subparsers
     inherit the class."""
+
+    # the names of the subcommands, which `build_parser` sets on the
+    # top-level parser
+    subcommands: tuple[str, ...] = ()
 
     def error(self, message: str):
         raise UsageError(message)
@@ -307,6 +312,14 @@ _PER_USER_FIELDS = (
 )
 
 
+def _is_finite_number(value) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
 def _read_report(path: str) -> dict:
     """An evaluation report, checked for the fields `report` reads."""
     with open(path, encoding="utf-8") as fh:
@@ -323,6 +336,10 @@ def _read_report(path: str) -> dict:
         missing = [k for k in _PER_USER_FIELDS if not isinstance(row, dict) or k not in row]
         if missing:
             raise ParseError(f"report: per_user row {n} lacks {', '.join(missing)}")
+        # the breakdowns compute with every field but the user id
+        bad = [k for k in _PER_USER_FIELDS if k != "user" and not _is_finite_number(row[k])]
+        if bad:
+            raise ParseError(f"report: per_user row {n}: not a finite number: {', '.join(bad)}")
     hours = data.get("per_hour_shares", {})
     if not isinstance(hours, dict) or not all(isinstance(v, list) for v in hours.values()):
         raise ParseError("report: per_hour_shares must map day classes to lists")
@@ -331,12 +348,21 @@ def _read_report(path: str) -> dict:
 
 def _cmd_report(args) -> int:
     data = _read_report(args.eval)
+    rows = data.get("per_user", [])
     lines = [",".join(_PER_USER_FIELDS)]
-    for row in data.get("per_user", []):
+    for row in rows:
         lines.append(",".join(str(row[k]) for k in _PER_USER_FIELDS))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "per_user.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        breakdowns = evaluation.improvement_breakdowns(rows)
+    except NoData:
+        pass  # fewer than 3 scored users: nothing to correlate
+    else:
+        (outdir / "breakdowns.csv").write_text(
+            evaluation.breakdowns_to_csv(breakdowns), encoding="utf-8"
+        )
     hours = data.get("per_hour_shares", {})
     hlines = ["day_class,hour,share"]
     for day_class in sorted(hours):
@@ -461,26 +487,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_report)
 
+    parser.subcommands = tuple(sub.choices)
     return parser
 
 
-_SUBCOMMANDS = (
-    "ingest",
-    "stats",
-    "homophily",
-    "cohesion",
-    "correlate",
-    "train",
-    "evaluate",
-    "synth",
-    "bounds",
-    "report",
-)
-
-
-def _splice_config(argv: list[str]) -> list[str]:
+def _splice_config(argv: list[str], subcommands: tuple[str, ...]) -> list[str]:
     """Turn `--config FILE` or `--config=FILE` into flags inserted right
-    after the subcommand.
+    after the first token of ``argv`` that is one of ``subcommands``.
 
     Flags written by the user come later on the line and therefore
     override the file values.
@@ -505,7 +518,7 @@ def _splice_config(argv: list[str]) -> list[str]:
         if value.lower() != "true":
             extra.append(value)
     for pos, token in enumerate(argv):
-        if token in _SUBCOMMANDS:
+        if token in subcommands:
             return argv[: pos + 1] + extra + argv[pos + 1 :]
     return argv + extra
 
@@ -514,7 +527,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(_splice_config(argv))
+        args = parser.parse_args(_splice_config(argv, parser.subcommands))
     except (OSError, ValueError, UsageError) as exc:
         return _fail(exc, EXIT_USAGE)
     except ParseError as exc:

@@ -126,9 +126,6 @@ class SocialGraph:
     def degree(self, user: str) -> int:
         return len(self.neighbors(user))
 
-    def has_edge(self, u: str, v: str) -> bool:
-        return v in self.neighbors(u)
-
     def edges(self) -> Iterator[tuple[str, str]]:
         """Each undirected edge once, as a sorted pair, in sorted order."""
         for u in sorted(self._adj):
@@ -179,22 +176,6 @@ class TemporalContext:
         return cls(day_class=day_class, day_of_week=dow, slot=slot)
 
 
-@dataclass(frozen=True, slots=True)
-class SocialSituation:
-    """Two or more users at the same venue within a short time window."""
-
-    participants: frozenset[str]
-    venue_id: str
-    window_start: int
-    window_end: int
-
-    def __post_init__(self):
-        if len(self.participants) < 2:
-            raise ValueError("a social situation needs at least two participants")
-        if self.window_end < self.window_start:
-            raise ValueError("window_end precedes window_start")
-
-
 def entropy_nats(counts: Iterable[float]) -> float:
     """Shannon entropy in nats of an unnormalized count vector.
 
@@ -218,16 +199,6 @@ def user_entropy(history: Sequence[CheckIn]) -> float:
     counts: dict[str, int] = {}
     for ci in history:
         counts[ci.venue_id] = counts.get(ci.venue_id, 0) + 1
-    return entropy_nats(counts.values())
-
-
-def location_entropy(visits: Sequence[CheckIn]) -> float:
-    """Entropy (nats) of a venue's empirical visitor distribution."""
-    if not visits:
-        raise NoData("no visits")
-    counts: dict[str, int] = {}
-    for ci in visits:
-        counts[ci.user_id] = counts.get(ci.user_id, 0) + 1
     return entropy_nats(counts.values())
 
 

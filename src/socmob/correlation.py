@@ -14,23 +14,6 @@ from .errors import DegenerateInput, NoData
 
 SOURCES = ("global", "home_city", "two_plex")
 
-#: Correlation-strength labels used in reports.
-STRENGTH_BUCKETS = (
-    (0.7, "very strong"),
-    (0.4, "strong"),
-    (0.1, "moderate"),
-    (0.0, "weak or none"),
-)
-
-
-def strength_label(r: float) -> str:
-    a = abs(r)
-    for floor, label in STRENGTH_BUCKETS:
-        if a >= floor:
-            return label
-    return "weak or none"
-
-
 @dataclass(frozen=True)
 class PairSample:
     """User pairs drawn with replacement from a population."""

@@ -19,10 +19,10 @@ import gc
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from . import correlation
-from .core import TemporalContext, WEEKEND
+from .core import TemporalContext, WEEKEND, entropy_nats
 from .errors import DegenerateInput, ModelEmpty, NoData
 from .ingestion import Dataset
 from .sost import (
@@ -32,6 +32,7 @@ from .sost import (
     SocialTree,
     SostConfig,
     SostModel,
+    argmax,
     situation_labels,
 )
 from .vomm import ContextKey, ContextTree, MergedContextView
@@ -214,15 +215,6 @@ class EvalReport:
         }
 
 
-def _argmax(dist: Mapping[str, float]) -> tuple[str | None, float]:
-    best_q: str | None = None
-    best_p = -1.0
-    for q, p in dist.items():
-        if p > best_p or (p == best_p and (best_q is None or q < best_q)):
-            best_q, best_p = q, p
-    return best_q, best_p
-
-
 def _class_variants(config: SostConfig) -> list[tuple[str, SostConfig]]:
     sync = replace(config, enable_trend=False)
     return [
@@ -348,15 +340,13 @@ def evaluate(
         if u in target_set:
             rec = records[u]
             st = st_trees.get(u)
-            st_pred: str | None = None
-            key = None
+            # prev_venues keeps at most kappa venues per user
+            key = ContextKey(tuple(prev_venues.get(u, ())), temporal)
             dist: dict[str, float] = {}
             unseen = 0.0
             if st is not None and st.alphabet:
-                # prev_venues keeps at most kappa venues per user
-                key = ContextKey(tuple(prev_venues.get(u, ())), temporal)
                 dist, unseen = st.distribution(key)
-                st_pred, _ = _argmax(dist)
+            st_pred, _ = argmax(dist)
 
             users_now: frozenset[str] | None = None
             last = last_event.get(u)
@@ -383,15 +373,9 @@ def evaluate(
             for name in variant_names:
                 model = models[name][u]
                 try:
-                    if key is not None:
-                        outcome = model.rank_with(
-                            key, dist, unseen, t, users_now, trend_memo, social_memo
-                        )
-                    else:
-                        outcome = model.predict_next(
-                            tree_of(u), prev_venues.get(u, ()), t, users_now, trend_memo
-                        )
-                    pred = outcome.venue
+                    pred = model.rank_with(
+                        key, dist, unseen, t, users_now, trend_memo, social_memo
+                    ).venue
                 except ModelEmpty:
                     pred = None
                 if pred == v:
@@ -477,10 +461,7 @@ def evaluate(
         rec = records[u]
         rec.n_locations = len(counts)
         if counts:
-            total = sum(counts.values())
-            rec.entropy = -sum(
-                (c / total) * math.log(c / total) for c in counts.values()
-            )
+            rec.entropy = entropy_nats(counts.values())
         rec.influencers = len(models["primary"][u].influencers)
 
     accuracy_st = st_hits_total / n_scored
@@ -573,21 +554,27 @@ BREAKDOWN_DIMENSIONS = (
 )
 
 
-def improvement_breakdowns(report: EvalReport) -> dict[str, dict[str, float | None]]:
-    """Correlations of per-user improvement against profile dimensions."""
-    users = [r for r in report.per_user if r.scored > 0]
+def improvement_breakdowns(
+    rows: Sequence[Mapping],
+) -> dict[str, dict[str, float | None]]:
+    """Correlations of per-user improvement against profile dimensions.
+
+    ``rows`` are the ``per_user`` rows of a report (``EvalReport.to_dict``);
+    users without a scored event are left out.
+    """
+    users = [r for r in rows if r["scored"] > 0]
     if len(users) < 3:
         raise NoData("need at least 3 evaluated users")
-    improvement = [r.improvement for r in users]
+    improvement = [r["improvement"] for r in users]
     dims: dict[str, list[float]] = {
-        "degree": [float(r.degree) for r in users],
-        "entropy": [r.entropy for r in users],
-        "n_locations": [float(r.n_locations) for r in users],
+        "degree": [float(r["degree"]) for r in users],
+        "entropy": [r["entropy"] for r in users],
+        "n_locations": [float(r["n_locations"]) for r in users],
         "visit_frequency": [
-            r.scored / r.n_locations if r.n_locations else 0.0 for r in users
+            r["scored"] / r["n_locations"] if r["n_locations"] else 0.0 for r in users
         ],
-        "situation_rate": [r.situations / r.scored for r in users],
-        "influencers": [float(r.influencers) for r in users],
+        "situation_rate": [r["situation_rate"] for r in users],
+        "influencers": [float(r["influencers"]) for r in users],
     }
     out: dict[str, dict[str, float | None]] = {}
     for name, xs in dims.items():

@@ -2,9 +2,8 @@
 
 Spatial overlap (co-location counts, weekly co-location rate, cosine
 similarity of visit vectors) and spatial-temporal overlap (the social
-situation rate), each with optional venue weighting, plus the detector
-for social situations (co-presence windows gated by the friendship
-graph).
+situation rate), each with optional venue weighting.  The situations the
+predictor learns from are detected online, by `evaluation.evaluate`.
 
 Every pairwise measure reads a per-user ``MobilityIndex``: venue ->
 sorted timestamps, visit counts, venue-packed ``int64`` keys, the
@@ -26,7 +25,6 @@ import numpy as np
 from . import kernels
 from .core import (
     CheckIn,
-    SocialSituation,
     Venue,
     WEEK_SECONDS,
     group_by_venue,
@@ -352,86 +350,3 @@ def social_situation_rate(
     if den <= 0.0:
         return 0.0
     return min(num / den, 1.0)
-
-
-def _maximal_windows(
-    events: Sequence[tuple[int, str]], window: int
-) -> list[tuple[int, int]]:
-    """Maximal [i, j] index ranges whose timestamps span at most ``window``.
-
-    ``events`` must be sorted by timestamp.  A range is kept only when it is
-    not contained in the previous one, which is exactly the set of maximal
-    windows of the sliding scan.
-    """
-    out = []
-    n = len(events)
-    hi = 0
-    prev_hi = -1
-    for lo in range(n):
-        limit = events[lo][0] + window
-        if hi < lo:
-            hi = lo
-        while hi < n and events[hi][0] <= limit:
-            hi += 1
-        if hi - 1 > prev_hi or lo == 0:
-            out.append((lo, hi - 1))
-            prev_hi = hi - 1
-    return out
-
-
-def detect_social_situations(dataset, window: int = HOUR_SECONDS) -> list[SocialSituation]:
-    """Find co-presence situations among friends.
-
-    For each venue, every maximal sliding window of length ``window`` is
-    examined; participants are split into connected components of the
-    friendship graph, and each component with two or more users becomes a
-    situation.  Users co-located with strangers only are not reported here
-    (they surface per-target as individual influence factors downstream).
-    Output is sorted by (window_start, venue_id).
-    """
-    graph = dataset.graph
-    by_venue: dict[str, list[tuple[int, str]]] = {}
-    for ci in dataset.checkins:
-        by_venue.setdefault(ci.venue_id, []).append((ci.timestamp, ci.user_id))
-    situations: list[SocialSituation] = []
-    for venue in sorted(by_venue):
-        events = sorted(by_venue[venue])
-        for lo, hi in _maximal_windows(events, window):
-            chunk = events[lo : hi + 1]
-            users = {u for _, u in chunk}
-            if len(users) < 2:
-                continue
-            for comp in _friend_components(graph, users):
-                if len(comp) < 2:
-                    continue
-                ts = [t for t, u in chunk if u in comp]
-                situations.append(
-                    SocialSituation(
-                        participants=frozenset(comp),
-                        venue_id=venue,
-                        window_start=min(ts),
-                        window_end=max(ts),
-                    )
-                )
-    uniq = {(s.participants, s.venue_id, s.window_start, s.window_end): s for s in situations}
-    return sorted(
-        uniq.values(), key=lambda s: (s.window_start, s.venue_id, sorted(s.participants))
-    )
-
-
-def _friend_components(graph, users: set[str]) -> list[set[str]]:
-    remaining = {u for u in users if u in graph}
-    comps = []
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        frontier = [seed]
-        remaining.discard(seed)
-        while frontier:
-            u = frontier.pop()
-            for v in graph.neighbors(u) & remaining:
-                comp.add(v)
-                remaining.discard(v)
-                frontier.append(v)
-        comps.append(comp)
-    return comps

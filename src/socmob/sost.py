@@ -89,23 +89,18 @@ def drift_factor(elapsed: float, beta: float, stay_hours: float, kind: str) -> f
         raise ConfigError(f"unknown drift kind {kind!r}")
     if not 0.0 < beta < 1.0:
         raise ConfigError(f"beta must be in (0, 1), got {beta}")
+    return _decay(elapsed, beta, stay_hours, kind)
+
+
+def _decay(elapsed: float, beta: float, stay_hours: float, kind: str) -> float:
+    """``drift_factor`` for a kind other than "none" and a beta already
+    checked, as ``SostConfig`` checks them."""
     if elapsed < 0:
         raise ValueError("elapsed time is negative")
     units = elapsed / (stay_hours * HOUR_SECONDS)
     if kind == "geometric":
         return (1.0 - beta) ** units
     return math.exp(-beta * units)
-
-
-def _decay(elapsed: float, config: SostConfig) -> float:
-    """``drift_factor`` under ``config``'s drift, which must not be "none";
-    the kind and beta were checked when ``config`` was made."""
-    if elapsed < 0:
-        raise ValueError("elapsed time is negative")
-    units = elapsed / (config.stay_hours * HOUR_SECONDS)
-    if config.drift == "geometric":
-        return (1.0 - config.beta) ** units
-    return math.exp(-config.beta * units)
 
 
 @dataclass(slots=True)
@@ -131,14 +126,19 @@ class InfluenceRecord:
             return float(self.hits)
         if now is None:
             return self.counter
-        return self.counter * _decay(now - self.last_seen, config)
+        return self.counter * _decay(
+            now - self.last_seen, config.beta, config.stay_hours, config.drift
+        )
 
     def reinforce(self, now: int, config: SostConfig) -> None:
         self.hits += 1
         if config.drift == "none":
             self.counter += 1.0
         else:
-            self.counter *= _decay(now - self.last_seen, config) + 1.0
+            self.counter *= (
+                _decay(now - self.last_seen, config.beta, config.stay_hours, config.drift)
+                + 1.0
+            )
         self.last_seen = now
 
 
@@ -183,23 +183,6 @@ def tie_strength_map(
     if total <= 0.0:
         return ({j: 0.0 for j in masses}, False)
     return ({j: m / total for j, m in masses.items()}, True)
-
-
-def tie_strength(
-    target: str,
-    friend: str,
-    neighbors: Iterable[str],
-    histories: Mapping[str, Sequence[CheckIn]],
-    scheme: WeightScheme = WeightScheme(),
-    venues=None,
-    window: int = WEEK_SECONDS,
-) -> float:
-    ties, _ = tie_strength_map(
-        target, neighbors, histories, scheme=scheme, venues=venues, window=window
-    )
-    if friend not in ties:
-        raise ValueError(f"{friend!r} is not a neighbor of {target!r}")
-    return ties[friend]
 
 
 def classify_situation(users: frozenset[str], target: str) -> str | None:
@@ -611,6 +594,17 @@ def _walk_records(node: _SocialNode):
         yield from _walk_records(child)
 
 
+def argmax(dist: Mapping[str, float]) -> tuple[str | None, float]:
+    """The most probable venue and its probability, ties going to the
+    smallest venue id; (None, -1.0) for an empty distribution."""
+    best_q: str | None = None
+    best_p = -1.0
+    for q, p in dist.items():
+        if p > best_p or (p == best_p and (best_q is None or q < best_q)):
+            best_q, best_p = q, p
+    return best_q, best_p
+
+
 @dataclass
 class PredictOutcome:
     """Prediction plus the diagnostics needed to audit which path fired."""
@@ -675,7 +669,6 @@ class SostModel:
         users: frozenset[str],
         venue: str,
         timestamp: int,
-        cls: str | None = None,
         temporal: TemporalContext | None = None,
         *,
         labels: tuple[tuple, ...] | None = None,
@@ -691,8 +684,7 @@ class SostModel:
         users = frozenset(users)
         if not users <= self._circle:
             users &= self._circle
-        if cls is None:
-            cls = classify_situation(users, self.target)
+        cls = classify_situation(users, self.target)
         if cls is None or cls not in self.social.classes:
             return None
         if labels is None:
@@ -711,36 +703,6 @@ class SostModel:
 
     # -- estimation ---------------------------------------------------------
 
-    def effective_counter(
-        self,
-        users_now: Iterable[str],
-        venue: str,
-        temporal: TemporalContext,
-        now: int | None = None,
-    ) -> float:
-        return SocialTree.effective_counter(
-            self.social.slot_node(venue, temporal, self.class_filter),
-            users_now,
-            self.tie_mass,
-            now,
-            self.config,
-            self.class_filter,
-        )
-
-    def social_prob(
-        self,
-        venue: str,
-        users_now: Iterable[str],
-        temporal: TemporalContext,
-        now: int | None = None,
-        estimator: str | None = None,
-    ) -> float:
-        """Social probability mass for one venue under the active situation."""
-        eta = self.social.slot_node(venue, temporal, self.class_filter)
-        if eta is None:
-            return 0.0
-        return self._prob_at(eta, venue, users_now, temporal, now, estimator)
-
     def _prob_at(
         self,
         eta: _SocialNode,
@@ -748,9 +710,9 @@ class SostModel:
         users_now: Iterable[str],
         temporal: TemporalContext,
         now: int | None,
-        estimator: str | None = None,
     ) -> float:
-        """``social_prob`` given the venue's slot node ``eta``, which holds
+        """Social probability mass of ``venue`` under the active situation
+        ``users_now``, given the venue's slot node ``eta``, which holds
         records of this model's classes."""
         classes = self.class_filter
         num = SocialTree.effective_counter(
@@ -758,7 +720,7 @@ class SostModel:
         )
         if num <= 0.0:
             return 0.0
-        if (estimator or self.config.estimator) == "B":
+        if self.config.estimator == "B":
             den = SocialTree.raw_total(eta, now, self.config, classes)
             return num / den if den > 0.0 else 0.0
         # estimator A: normalize over the node, its ancestors, and their
@@ -821,6 +783,10 @@ class SostModel:
         above its uniform floor.  ``trend_memo`` is as for
         ``_trend_prediction``.
 
+        A user with no history yet passes the empty ``dist`` and ``unseen``
+        0.0.  Such a user gets no social candidate, active situation or
+        not: the trend model predicts, and without it ModelEmpty is raised.
+
         ``social_memo`` lets the models of one target that share the store
         and the tie masses, and agree in class filter, drift, beta, stay
         time and estimator, compute the social candidates and factors once
@@ -830,7 +796,7 @@ class SostModel:
         """
         active = bool(users_now and len(users_now) >= 2)
         factors: dict[str, float] | None = None
-        if active:
+        if active and dist:
             shared = None if social_memo is None else social_memo.get(self._reads)
             if shared is None:
                 social_venues = self.social.venues_at(
@@ -848,17 +814,9 @@ class SostModel:
             else:
                 dist, factors = shared
         matched = factors is not None
-        best_q: str | None = None
-        best_p = -1.0
-        if factors is None:
-            for q, p in dist.items():
-                if p > best_p or (p == best_p and (best_q is None or q < best_q)):
-                    best_q, best_p = q, p
-        else:
-            for q, p_ind in dist.items():
-                p = p_ind * factors[q]
-                if p > best_p or (p == best_p and (best_q is None or q < best_q)):
-                    best_q, best_p = q, p
+        if matched:
+            dist = {q: p * factors[q] for q, p in dist.items()}
+        best_q, best_p = argmax(dist)
         threshold = unseen
         if self.config.enable_trend and best_p <= threshold:
             trend_pred = self._trend_prediction(key.spatial, timestamp, trend_memo)
@@ -911,36 +869,3 @@ class SostModel:
         if memo is not None:
             memo.append(pred)
         return pred
-
-    def predict_next(
-        self,
-        st_tree: ContextTree,
-        prev_venues: Sequence[str],
-        timestamp: int,
-        users_now: frozenset[str] | None = None,
-        trend_memo: list | None = None,
-    ) -> PredictOutcome:
-        """Best next venue, falling back to the general-trend model.
-
-        The gate compares the best social-weighted individual probability
-        against the mass a brand-new venue would receive; at or below that
-        floor the trend model predicts instead.  ``trend_memo`` is as for
-        ``_trend_prediction``.
-        """
-        if st_tree.alphabet:
-            key = st_tree.key(prev_venues, timestamp)
-            dist, unseen = st_tree.distribution(key)
-            return self.rank_with(key, dist, unseen, timestamp, users_now, trend_memo)
-        active = bool(users_now and len(users_now) >= 2)
-        if self.config.enable_trend:
-            trend_pred = self._trend_prediction(tuple(prev_venues), timestamp, trend_memo)
-            if trend_pred is not None:
-                return PredictOutcome(
-                    venue=trend_pred[0],
-                    prob=trend_pred[1],
-                    branch="trend",
-                    active_situation=active,
-                    threshold=math.inf,
-                    social_matched=False,
-                )
-        raise ModelEmpty("neither the individual nor the trend model has data")

@@ -9,6 +9,7 @@ import pytest
 import socmob
 from socmob import cli, errors
 from socmob.cli import main
+from socmob.evaluation import breakdowns_to_csv, improvement_breakdowns
 from socmob.ingestion import save_edges
 from socmob.synthgen import GenConfig, generate, write_corpus
 
@@ -92,6 +93,28 @@ class TestSynthAndEvaluate:
         assert (outdir / "per_user.csv").exists()
         assert (outdir / "per_hour.csv").exists()
         assert json.loads((outdir / "summary.json").read_text())["n_scored"] > 0
+        rows = json.loads(rep.read_text())["per_user"]
+        assert sum(row["scored"] > 0 for row in rows) >= 3
+        assert (outdir / "breakdowns.csv").read_text() == (
+            breakdowns_to_csv(improvement_breakdowns(rows))
+        )
+
+    def test_report_without_three_scored_users_writes_no_breakdowns(self, tmp_path, capsys):
+        row = {
+            "user": "u0", "scored": 4, "st_accuracy": 0.5, "sost_accuracy": 0.75,
+            "improvement": 0.25, "situation_rate": 0.25, "degree": 2, "entropy": 0.6,
+            "n_locations": 2, "influencers": 1,
+        }
+        unscored = dict(row, user="u2", scored=0, st_accuracy=0.0, sost_accuracy=0.0,
+                        improvement=0.0, situation_rate=0.0)
+        rep = tmp_path / "report.json"
+        rep.write_text(json.dumps({"per_user": [row, dict(row, user="u1"), unscored]}))
+        outdir = tmp_path / "expanded"
+        assert run(["report", "--eval", rep, "--out", outdir]) == 0
+        assert json.loads(capsys.readouterr().out) == {"out": str(outdir)}
+        assert sorted(p.name for p in outdir.iterdir()) == [
+            "per_hour.csv", "per_user.csv", "summary.json"
+        ]
 
 
 class TestBounds:
@@ -325,9 +348,19 @@ class TestReportErrors:
             '{"per_hour_shares": {"workday": 3}}',
             "[1, 2]",
             "this is not JSON",
+            json.dumps({"per_user": [{
+                "user": "x", "scored": "4", "st_accuracy": 0.5, "sost_accuracy": 0.5,
+                "improvement": 0.0, "situation_rate": 0.0, "degree": True, "entropy": 0.0,
+                "n_locations": 1, "influencers": 0,
+            }]}),
+            json.dumps({"per_user": [{
+                "user": "x", "scored": 4, "st_accuracy": 0.5, "sost_accuracy": 0.5,
+                "improvement": 0.0, "situation_rate": 0.0, "degree": 1, "entropy": float("nan"),
+                "n_locations": 1, "influencers": 0,
+            }]}),
         ],
         ids=["missing-key", "row-not-object", "rows-not-list", "hours-not-lists",
-             "not-object", "not-json"],
+             "not-object", "not-json", "field-not-a-number", "field-not-finite"],
     )
     def test_bad_report_is_a_parse_error(self, tmp_path, capsys, text):
         bad = tmp_path / "report.json"

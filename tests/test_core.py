@@ -11,7 +11,6 @@ from socmob.core import (
     entropy_nats,
     haversine_km,
     home_location,
-    location_entropy,
     user_entropy,
 )
 from socmob.errors import NoData, UnknownNode
@@ -44,7 +43,7 @@ class TestSocialGraph:
         assert g.edge_count == 2
         assert g.neighbors("b") == {"a", "c"}
         assert g.degree("a") == 1
-        assert g.has_edge("a", "b") and not g.has_edge("a", "c")
+        assert "b" in g.neighbors("a") and "c" not in g.neighbors("a")
         assert list(g.edges()) == [("a", "b"), ("b", "c")]
 
     def test_self_loop_rejected(self):
@@ -116,15 +115,9 @@ class TestEntropy:
         expect = -(0.5 * math.log(0.5) + 2 * 0.25 * math.log(0.25))
         assert user_entropy(h) == pytest.approx(expect, abs=1e-12)
 
-    def test_location_entropy(self):
-        visits = [make_checkin(user=u, ts=i) for i, u in enumerate("aabb")]
-        assert location_entropy(visits) == pytest.approx(math.log(2), abs=1e-12)
-
     def test_empty(self):
         with pytest.raises(NoData):
             user_entropy([])
-        with pytest.raises(NoData):
-            location_entropy([])
 
 
 def brute_force_densest_cell(history, cell_m):

@@ -11,7 +11,6 @@ from socmob.correlation import (
     pearson,
     sample_pairs,
     spearman,
-    strength_label,
     welch_ttest,
 )
 from socmob.errors import DegenerateInput, NoData
@@ -160,9 +159,3 @@ class TestMatrix:
         assert lines[1].startswith("scos,0.5")
         assert lines[1].endswith(",")  # None cell renders empty
 
-
-def test_strength_labels():
-    assert strength_label(0.8) == "very strong"
-    assert strength_label(-0.5) == "strong"
-    assert strength_label(0.2) == "moderate"
-    assert strength_label(0.05) == "weak or none"

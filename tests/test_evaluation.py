@@ -115,6 +115,16 @@ class TestPrequential:
         assert report.accuracy_st > 0.9
         assert report.accuracy_sost > 0.9
 
+    def test_single_venue_entropy_is_positive_zero(self):
+        # a target who visits one venue only has entropy 0.0, not -0.0
+        rows = [
+            CheckIn("a", "v1", 1_000_000 + k * HOUR, 37.75, -122.45) for k in range(60)
+        ]
+        ds = build_dataset(rows, [("a", "b")], IngestConfig())
+        (row,) = evaluate(ds, SostConfig()).to_dict()["per_user"]
+        assert row["user"] == "a"
+        assert math.copysign(1.0, row["entropy"]) == 1.0
+
     def test_no_active_users(self):
         ds = periodic_corpus()
         with pytest.raises(NoData):
@@ -234,7 +244,7 @@ class TestBreakdowns:
     def test_planted_corpus_positive_correlations(self, small_corpus):
         ds, _ = small_corpus
         report = evaluate(ds, SostConfig())
-        table = improvement_breakdowns(report)
+        table = improvement_breakdowns(report.to_dict()["per_user"])
         assert set(table) == {
             "degree",
             "entropy",
@@ -250,7 +260,7 @@ class TestBreakdowns:
         ds = periodic_corpus(n_users=2)
         report = evaluate(ds, SostConfig())
         with pytest.raises(NoData):
-            improvement_breakdowns(report)
+            improvement_breakdowns(report.to_dict()["per_user"])
 
 
 class TestCausalitySpot:

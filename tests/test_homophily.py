@@ -11,13 +11,11 @@ from socmob.homophily import (
     WeightScheme,
     colocation_count,
     index_histories,
-    detect_social_situations,
     scol_rate,
     social_situation_rate,
     spatial_cosine,
     weekly_visit_prob,
 )
-from socmob.ingestion import IngestConfig, build_dataset
 
 from conftest import make_checkin, random_history
 
@@ -461,87 +459,3 @@ class TestMobilityIndex:
         a = [make_checkin(ts=2**36)]
         with pytest.raises(ValueError):
             colocation_count(a, a)
-
-
-class TestDetectSituations:
-    def _dataset(self, rows, edges):
-        return build_dataset(rows, edges, IngestConfig(activity_threshold=1))
-
-    def test_two_friends_within_window(self):
-        rows = [
-            make_checkin(user="a", venue="V", ts=1000),
-            make_checkin(user="b", venue="V", ts=1000 + 30 * 60),
-        ]
-        ds = self._dataset(rows, [("a", "b")])
-        sits = detect_social_situations(ds)
-        assert len(sits) == 1
-        assert sits[0].participants == {"a", "b"}
-        assert sits[0].window_end - sits[0].window_start <= HOUR
-
-    def test_strangers_not_reported(self):
-        rows = [
-            make_checkin(user="a", venue="V", ts=1000),
-            make_checkin(user="b", venue="V", ts=1200),
-        ]
-        ds = self._dataset(rows, [])
-        assert detect_social_situations(ds) == []
-
-    def test_graph_components_split(self):
-        rows = [
-            make_checkin(user=u, venue="V", ts=1000 + i * 60)
-            for i, u in enumerate("abcd")
-        ]
-        ds = self._dataset(rows, [("a", "b"), ("c", "d")])
-        sits = detect_social_situations(ds)
-        parts = {s.participants for s in sits}
-        assert frozenset({"a", "b"}) in parts
-        assert frozenset({"c", "d"}) in parts
-        assert frozenset({"a", "c"}) not in parts
-
-    def test_exhaustive_window_scan_oracle(self, rng):
-        users = [f"u{i}" for i in range(6)]
-        venues = ["V", "W"]
-        rows = []
-        ts = 1_000_000
-        for _ in range(60):
-            ts += rng.randrange(10, 2 * HOUR)
-            rows.append(
-                make_checkin(
-                    user=users[rng.randrange(len(users))],
-                    venue=venues[rng.randrange(2)],
-                    ts=ts,
-                    lat=37.75,
-                    lon=-122.45,
-                )
-            )
-        edges = [(a, b) for a in users for b in users if a < b]  # everyone friends
-        ds = self._dataset(rows, edges)
-        got = {
-            (s.participants, s.venue_id, s.window_start, s.window_end)
-            for s in detect_social_situations(ds)
-        }
-        # oracle: every window [t, t+1h] anchored at a check-in; keep
-        # set-maximal participant groups per venue
-        expect = set()
-        for venue in venues:
-            events = sorted(
-                (c.timestamp, c.user_id) for c in rows if c.venue_id == venue
-            )
-            windows = []
-            for t0, _ in events:
-                chunk = [(t, u) for t, u in events if t0 <= t <= t0 + HOUR]
-                users_in = frozenset(u for _, u in chunk)
-                if len(users_in) >= 2:
-                    windows.append((set(chunk), users_in, chunk))
-            for chunk_set, users_in, chunk in windows:
-                if any(chunk_set < other for other, _, _ in windows):
-                    continue
-                ts_list = [t for t, _ in chunk]
-                expect.add((users_in, venue, min(ts_list), max(ts_list)))
-        assert got == expect
-
-    def test_ordering(self, small_corpus):
-        ds, _ = small_corpus
-        sits = detect_social_situations(ds)
-        keys = [(s.window_start, s.venue_id) for s in sits]
-        assert keys == sorted(keys)

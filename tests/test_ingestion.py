@@ -208,4 +208,4 @@ def test_dataset_from_strings(tmp_path):
     ep.write_text(EDGE_CSV)
     ds = load_dataset(cp, ep, IngestConfig(activity_threshold=1))
     assert len(ds.checkins) == 5
-    assert ds.graph.has_edge("a", "b")
+    assert "b" in ds.graph.neighbors("a")

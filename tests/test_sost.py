@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,10 +20,9 @@ from socmob.sost import (
     drift_factor,
     influence_jaccard,
     situation_labels,
-    tie_strength,
     tie_strength_map,
 )
-from socmob.vomm import ContextTree, TreeConfig, temporal_labels
+from socmob.vomm import ContextKey, ContextTree, MergedContextView, TreeConfig, temporal_labels
 
 from conftest import make_checkin
 
@@ -39,6 +39,31 @@ def record_of(node, users):
     """The one record of ``users`` at a social tree node."""
     (rec,) = [rec for rec in node.records if rec.users == frozenset(users)]
     return rec
+
+
+def social_prob(model, venue, users_now, temporal, now=None):
+    """The social factor of ``venue`` as ``rank_with`` reads it."""
+    factors = model.social_factors([venue], frozenset(users_now), temporal, now)
+    return 0.0 if factors is None else factors[venue]
+
+
+def effective_counter(model, users_now, venue, temporal, now=None):
+    """The Jaccard-weighted counter of the venue's slot node."""
+    node = model.social.slot_node(venue, temporal, model.class_filter)
+    return SocialTree.effective_counter(
+        node, users_now, model.tie_mass, now, model.config, model.class_filter
+    )
+
+
+def reader(model, **changes):
+    """A model of another configuration reading ``model``'s store and tie
+    masses, as the variants of one target do in ``evaluate``."""
+    other = SostModel(
+        model.target, model.neighbors, config=replace(model.config, **changes),
+        social=model.social,
+    )
+    other.tie_mass = model.tie_mass
+    return other
 
 
 class TestDrift:
@@ -235,15 +260,12 @@ class TestTieStrength:
         masses = {"f1": wx, "f2": wy, "f3": wx + wy, "f4": 0.0}
         total = sum(masses.values())
         scheme = WeightScheme("entropy")
+        ties, ok = tie_strength_map(
+            "me", ["f1", "f2", "f3", "f4"], hist, scheme=scheme, venues=venues
+        )
+        assert ok
         for friend, mass in masses.items():
-            got = tie_strength(
-                "me", friend, ["f1", "f2", "f3", "f4"], hist, scheme=scheme, venues=venues
-            )
-            assert got == pytest.approx(mass / total, abs=1e-12)
-
-    def test_not_a_neighbor(self):
-        with pytest.raises(ValueError):
-            tie_strength("me", "zz", ["f1"], self._histories())
+            assert ties[friend] == pytest.approx(mass / total, abs=1e-12)
 
 
 class TestClassify:
@@ -324,8 +346,10 @@ class TestSocialTree:
             assert tree.venues_at(temporal, {"f"})
             for venue in ("V", "W"):
                 for estimator in ("A", "B"):
-                    args = (venue, {"me", "f", "g"}, temporal, T0 + 10**5, estimator)
-                    assert loaded.social_prob(*args) == model.social_prob(*args)
+                    args = (venue, {"me", "f", "g"}, temporal, T0 + 10**5)
+                    assert social_prob(reader(loaded, estimator=estimator), *args) == (
+                        social_prob(reader(model, estimator=estimator), *args)
+                    )
 
     def test_loads_version_1_dump(self):
         v1 = {
@@ -346,10 +370,11 @@ class TestSocialTree:
         assert tree.venues_at(temporal, {"f"}) == ["V"]
         model = SostModel("me", ["f"], config=SostConfig(drift="none"), social=tree)
         model.tie_mass = {"f": 1.0}
-        assert model.social_prob("V", {"me", "f"}, temporal) == 1.0
+        assert social_prob(model, "V", {"me", "f"}, temporal) == 1.0
         # a class filter does not admit records of unknown class
         only_ii = SostModel("me", ["f"], config=SostConfig(classes=frozenset({"II"})), social=tree)
-        assert only_ii.social_prob("V", {"me", "f"}, temporal) == 0.0
+        only_ii.tie_mass = model.tie_mass
+        assert social_prob(only_ii, "V", {"me", "f"}, temporal) == 0.0
 
     def test_rejects_other_formats(self):
         with pytest.raises(ValueError):
@@ -426,14 +451,14 @@ class TestEffectiveCounter:
         model = SostModel("me", ["f"])
         model.tie_mass = {"f": 1.0}
         model.record_social_context(frozenset({"me", "f"}), "V", T0)
-        got = model.effective_counter({"me", "f"}, "V", temporal_at(T0), now=T0)
+        got = effective_counter(model, {"me", "f"}, "V", temporal_at(T0), now=T0)
         assert got == pytest.approx(1.0)
 
     def test_disjoint_records(self):
         model = SostModel("me", ["f", "g"])
         model.tie_mass = {"f": 0.6, "g": 0.4}
         model.record_social_context(frozenset({"f"}), "V", T0)
-        got = model.effective_counter({"me", "g"}, "V", temporal_at(T0), now=T0)
+        got = effective_counter(model, {"me", "g"}, "V", temporal_at(T0), now=T0)
         assert got == 0.0
 
     def test_three_record_fixture(self):
@@ -447,12 +472,12 @@ class TestEffectiveCounter:
         expect = sum(
             1.0 * influence_jaccard(now, s, model.tie_mass) for s in sets
         )
-        got = model.effective_counter(now, "V", temporal_at(T0), now=T0)
+        got = effective_counter(model, now, "V", temporal_at(T0), now=T0)
         assert got == pytest.approx(expect, abs=1e-12)
 
     def test_missing_node(self):
         model = SostModel("me", ["f"])
-        assert model.effective_counter({"me", "f"}, "V", temporal_at(T0)) == 0.0
+        assert effective_counter(model, {"me", "f"}, "V", temporal_at(T0)) == 0.0
 
 
 class TestEstimators:
@@ -465,12 +490,12 @@ class TestEstimators:
     def test_estimator_b_single_record_is_one(self):
         model = self._model()
         model.record_social_context(frozenset({"me", "f"}), "V", T0)
-        got = model.social_prob("V", {"me", "f"}, temporal_at(T0), now=T0, estimator="B")
+        got = social_prob(model, "V", {"me", "f"}, temporal_at(T0), now=T0)
         assert got == pytest.approx(1.0)
 
     def test_no_records_anywhere(self):
         model = self._model()
-        assert model.social_prob("V", {"me", "f"}, temporal_at(T0)) == 0.0
+        assert social_prob(model, "V", {"me", "f"}, temporal_at(T0)) == 0.0
 
     def test_b_at_least_a_on_fixture(self):
         # two venues with evidence; estimator A spreads mass over the node,
@@ -480,8 +505,8 @@ class TestEstimators:
         model.record_social_context(frozenset({"me", "f"}), "V", T0)
         model.record_social_context(frozenset({"me", "g"}), "W", T0 + 60)
         now = {"me", "f"}
-        b = model.social_prob("V", now, temporal_at(T0), now=T0, estimator="B")
-        a = model.social_prob("V", now, temporal_at(T0), now=T0, estimator="A")
+        b = social_prob(model, "V", now, temporal_at(T0), now=T0)
+        a = social_prob(reader(model, estimator="A"), "V", now, temporal_at(T0), now=T0)
         assert b >= a
         assert a > 0
 
@@ -499,11 +524,11 @@ class TestEstimators:
         j2 = influence_jaccard(now, u2, tie)
         eff = 2.0 * j1 + 1.0 * j2
         raw = 3.0
-        got_b = model.social_prob("V", now, temporal_at(t1), now=t1, estimator="B")
+        got_b = social_prob(model, "V", now, temporal_at(t1), now=t1)
         assert got_b == pytest.approx(eff / raw, abs=1e-12)
         # estimator A: nodes on the path all carry the same records, and
         # there are no sibling venues; denominator = 4 nodes + 4 * eff
-        got_a = model.social_prob("V", now, temporal_at(t1), now=t1, estimator="A")
+        got_a = social_prob(reader(model, estimator="A"), "V", now, temporal_at(t1), now=t1)
         assert got_a == pytest.approx(eff / (4 + 4 * eff), abs=1e-12)
 
 
@@ -538,7 +563,7 @@ class TestCombinedAndPredict:
         key = tree.key(prev, ts)
         # plant a record for symbol "A" at the current temporal context
         model.record_social_context(now, "A", ts)
-        factor = model.social_prob("A", now, key.temporal, now=ts)
+        factor = social_prob(model, "A", now, key.temporal, now=ts)
         individual = tree.prob("A", key)
         dist, unseen = tree.distribution(key)
         outcome = model.rank_with(key, dist, unseen, ts, now)
@@ -552,9 +577,11 @@ class TestCombinedAndPredict:
         model = SostModel(
             "me", ["f"], config=SostConfig(classes=frozenset(), enable_trend=False)
         )
-        outcome = model.predict_next(tree, prev, ts)
+        key = tree.key(prev, ts)
+        dist, unseen = tree.distribution(key)
+        outcome = model.rank_with(key, dist, unseen, ts)
         assert outcome.branch == "main"
-        assert outcome.venue == tree.predict(tree.key(prev, ts))[0][0]
+        assert outcome.venue == tree.predict(key)[0][0]
 
     def test_planted_influence_prediction(self):
         # the target has never been to venue N; friends have, at a matching
@@ -569,7 +596,6 @@ class TestCombinedAndPredict:
                 t = ts + w * 7 * 86_400
                 ftree.train_event("N", t, fprev)
                 fprev.append("N")
-        from socmob.vomm import MergedContextView
 
         model = SostModel(
             "me", ["f1", "f2"], config=cfg, trend=MergedContextView(friends_trees)
@@ -577,27 +603,54 @@ class TestCombinedAndPredict:
         model.tie_mass = {"f1": 0.5, "f2": 0.5}
         now = frozenset({"me", "f1", "f2"})
         model.record_social_context(now, "N", ts - 7 * 86_400)
-        outcome = model.predict_next(tree, prev, ts, now)
+        key = tree.key(prev, ts)
+        dist, unseen = tree.distribution(key)
+        outcome = model.rank_with(key, dist, unseen, ts, now)
         assert outcome.venue == "N"
 
+    # a user without history ranks the empty distribution, with no weight
+    # for a never-seen venue, from the empty spatial context
     def test_cold_user_falls_back_to_trend(self):
         friend_tree = ContextTree(TreeConfig())
         fprev = []
         for k in range(5):
             friend_tree.train_event("T", T0 + k * HOUR, fprev)
             fprev.append("T")
-        from socmob.vomm import MergedContextView
 
         model = SostModel("me", ["f"], trend=MergedContextView([friend_tree]))
-        empty = ContextTree(TreeConfig())
-        outcome = model.predict_next(empty, [], T0 + 6 * HOUR)
+        ts = T0 + 6 * HOUR
+        outcome = model.rank_with(ContextKey((), temporal_at(ts)), {}, 0.0, ts)
         assert outcome.branch == "trend"
         assert outcome.venue == "T"
+        assert not outcome.social_matched
 
     def test_everything_empty(self):
-        model = SostModel("me", ["f"])
+        key = ContextKey((), temporal_at(T0))
         with pytest.raises(ModelEmpty):
-            model.predict_next(ContextTree(TreeConfig()), [], T0)
+            SostModel("me", ["f"]).rank_with(key, {}, 0.0, T0)
+        # a trend view the configuration switches off predicts nothing either
+        friend_tree = ContextTree(TreeConfig())
+        friend_tree.train_event("T", T0 - HOUR, [])
+        model = SostModel(
+            "me", ["f"], config=SostConfig(enable_trend=False),
+            trend=MergedContextView([friend_tree]),
+        )
+        with pytest.raises(ModelEmpty):
+            model.rank_with(key, {}, 0.0, T0)
+
+    def test_cold_user_gets_no_social_venue(self):
+        # the situation is active and the store has a venue for it in this
+        # cell, yet a user without history gets no prediction without the
+        # trend model
+        model = SostModel("me", ["f"], config=SostConfig(enable_trend=False))
+        model.tie_mass = {"f": 1.0}
+        now = frozenset({"me", "f"})
+        model.record_social_context(now, "V", T0)
+        temporal = temporal_at(T0)
+        assert model.social.venues_at(temporal, now) == ["V"]
+        assert social_prob(model, "V", now, temporal, now=T0) == 1.0
+        with pytest.raises(ModelEmpty):
+            model.rank_with(ContextKey((), temporal), {}, 0.0, T0, now)
 
 
 class TestConfig:
@@ -684,6 +737,7 @@ class TestSharedStore:
         now = ts + 5 * HOUR
         cells = {temporal_at(T0 + step) for _, _, step in stream} | {temporal_at(ts)}
         for a, b in zip(shared, alone):
+            readers = [(reader(a, estimator=e), reader(b, estimator=e)) for e in ("A", "B")]
             for temporal in cells:
                 for users_now in (None, {"f1"}, {"me", "f2"}, {"me", "f1", "f3"}):
                     assert a.social.venues_at(temporal, users_now, a.class_filter) == (
@@ -694,9 +748,9 @@ class TestSharedStore:
                         a, a.social.slot_node(venue, temporal, a.class_filter), now
                     ) == self.visible(b, b.social.slot_node(venue, temporal), now)
                     for users_now in ({"me", "f1"}, {"f2", "f3"}, set(CIRCLE)):
-                        for estimator in ("A", "B"):
-                            args = (venue, users_now, temporal, now, estimator)
-                            assert a.social_prob(*args) == b.social_prob(*args)
+                        for ra, rb in readers:
+                            args = (venue, users_now, temporal, now)
+                            assert social_prob(ra, *args) == social_prob(rb, *args)
 
 
 class _DictNode:
