@@ -219,7 +219,7 @@ def _cmd_correlate(args) -> int:
         cohs["aa"].append(cohesion_mod.adamic_adar(ds.graph, a, b))
         cohs["jacc"].append(cohesion_mod.jaccard_users(ds.graph, a, b))
         cohs["doc"].append(cohesion_mod.degree_of_cliquishness(ds.graph, a, b))
-    table = correlation_mod.correlation_matrix(homos, cohs, include_spearman=args.spearman)
+    table = correlation_mod.correlation_matrix(homos, cohs)
     _out(correlation_mod.matrix_to_csv(table), args.out)
     return 0
 
@@ -435,7 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--home-radius-km", type=float, default=25.0,
                    help="home_city source: radius around the median home")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--spearman", action="store_true")
+    p.add_argument("--spearman", action="store_true",
+                   help="accepted for compatibility; the table holds Pearson r only")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_correlate)
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
+from scipy.special import stdtr
 
 from .errors import DegenerateInput, NoData
 
@@ -77,6 +77,8 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     if sx == 0.0 or sy == 0.0:
         raise DegenerateInput("constant series")
     r = float(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy))
+    if not math.isfinite(r):
+        raise DegenerateInput("non-finite coefficient")
     return max(-1.0, min(1.0, r))
 
 
@@ -97,6 +99,16 @@ def _average_ranks(values: Sequence[float]) -> np.ndarray:
     return ranks
 
 
+def _two_sided_p(t: float, df: float) -> float:
+    """Two-sided tail of Student's t with ``df`` degrees of freedom.
+
+    ``stdtr`` is the distribution function, and SciPy's ``t.sf(x, df)`` is
+    ``stdtr(df, -x)``, so this equals twice that survival function at
+    ``abs(t)`` bit for bit, without loading SciPy's statistics module.
+    """
+    return 2.0 * float(stdtr(df, -abs(t)))
+
+
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
     """Rank correlation with a t-approximation p-value.
 
@@ -109,8 +121,7 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
     if abs(rho) >= 1.0:
         return (rho, 0.0)
     t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-    p = 2.0 * float(_scipy_stats.t.sf(abs(t), df=n - 2))
-    return (rho, min(p, 1.0))
+    return (rho, min(_two_sided_p(t, n - 2), 1.0))
 
 
 def welch_ttest(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
@@ -128,38 +139,28 @@ def welch_ttest(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
     df = se2 * se2 / (
         (vx / len(x)) ** 2 / (len(x) - 1) + (vy / len(y)) ** 2 / (len(y) - 1)
     )
-    p = 2.0 * float(_scipy_stats.t.sf(abs(t), df=df))
-    return (t, min(p, 1.0))
+    return (t, min(_two_sided_p(t, df), 1.0))
 
 
 def correlation_matrix(
     homophily_values: Mapping[str, Sequence[float]],
     cohesion_values: Mapping[str, Sequence[float]],
-    include_spearman: bool = False,
 ) -> dict[str, dict[str, dict[str, float]]]:
-    """Pearson (and optionally Spearman) per (homophily, cohesion) cell.
+    """Pearson r per (homophily, cohesion) cell.
 
     Input mappings give one value per sampled pair, aligned across
-    measures.  Cells with a constant series are reported as None.
+    measures.  Cells with a constant or non-finite series are reported
+    as None.
     """
     table: dict[str, dict[str, dict[str, float]]] = {}
     for hname, hvals in homophily_values.items():
         row: dict[str, dict[str, float]] = {}
         for cname, cvals in cohesion_values.items():
-            cell: dict[str, float | None] = {}
             try:
-                cell["r"] = pearson(hvals, cvals)
+                r = pearson(hvals, cvals)
             except DegenerateInput:
-                cell["r"] = None
-            if include_spearman:
-                try:
-                    rho, p = spearman(hvals, cvals)
-                    cell["rho"] = rho
-                    cell["p"] = p
-                except DegenerateInput:
-                    cell["rho"] = None
-                    cell["p"] = None
-            row[cname] = cell
+                r = None
+            row[cname] = {"r": r}
         table[hname] = row
     return table
 

@@ -174,6 +174,34 @@ class TestStatsHomophilyCorrelate:
             outputs.add(done.stdout)
         assert len(outputs) == 1
 
+    def test_commands_do_not_load_scipy_stats(self, corpus_dir, tmp_path):
+        # the t tails come from scipy.special; scipy.stats costs every process
+        # tens of MB and most of a second to import
+        data = ["--checkins", corpus_dir / "checkins.csv",
+                "--edges", corpus_dir / "edges.csv", "--activity-threshold", "5"]
+        rep = tmp_path / "report.json"
+        commands = [
+            ["evaluate", *data, "--out", rep],
+            ["report", "--eval", rep, "--out", tmp_path / "expanded"],
+            ["correlate", *data, "--sample-size", "200", "--spearman"],
+            ["stats", *data],
+        ]
+        script = (
+            "import json, sys\n"
+            "from socmob import cli\n"
+            "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([codes, 'scipy.stats' in sys.modules]))\n"
+        )
+        argv = json.dumps([[str(a) for a in cmd] for cmd in commands])
+        src = str(Path(socmob.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script, argv], env=env,
+                              capture_output=True, text=True, check=True)
+        codes, loaded = json.loads(done.stdout.strip().splitlines()[-1])
+        assert codes == [0, 0, 0, 0]
+        assert (tmp_path / "expanded" / "breakdowns.csv").exists()
+        assert not loaded
+
     def test_homophily_pairs(self, corpus_dir, tmp_path, capsys):
         pairs = tmp_path / "pairs.csv"
         pairs.write_text("u0000,u0001\nu0002,u0003\n")

@@ -3,9 +3,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from socmob.correlation import (
+    _two_sided_p,
     correlation_matrix,
     matrix_to_csv,
     pearson,
@@ -90,6 +93,15 @@ class TestPearsonSpearman:
         with pytest.raises(DegenerateInput):
             pearson([1.0, 2.0], [1.0, 2.0])
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_is_degenerate(self, bad):
+        # min/max clamping would turn a NaN coefficient into 1.0
+        with pytest.raises(DegenerateInput):
+            pearson([bad, 1.0, 2.0], [1.0, 2.0, 3.0])
+        with pytest.raises(DegenerateInput):
+            pearson([1.0, 2.0, 3.0], [1.0, bad, 3.0])
+
     def test_affine_invariance(self):
         rng = random.Random(2)
         xs = [rng.random() for _ in range(20)]
@@ -113,6 +125,29 @@ class TestPearsonSpearman:
         rho, _ = spearman(xs, ys)
         assert rho > r
         assert rho == pytest.approx(1.0)
+
+
+class TestTwoSidedP:
+    @given(
+        t=st.floats(0.0, 1e3),
+        df=st.one_of(st.integers(1, 10**5), st.floats(0.5, 1e3)),
+    )
+    def test_equals_scipy_stats_exactly(self, t, df):
+        want = 2.0 * float(scipy_stats.t.sf(t, df=df))
+        assert _two_sided_p(t, df) == want
+        assert _two_sided_p(-t, df) == want
+
+    def test_edges(self):
+        assert _two_sided_p(0.0, 5) == 1.0
+        assert _two_sided_p(math.inf, 5) == 0.0
+
+    @pytest.mark.parametrize(
+        "t, df",
+        [(math.nan, 5), (1.0, math.nan), (1.0, 0), (1.0, -1), (math.nan, math.nan)],
+    )
+    def test_nan_inputs(self, t, df):
+        assert math.isnan(_two_sided_p(t, df))
+        assert math.isnan(2.0 * float(scipy_stats.t.sf(t, df=df)))
 
 
 class TestWelch:
@@ -144,9 +179,18 @@ class TestMatrix:
         xs = [rng.random() for _ in range(500)]
         h = {"m": xs}
         c = {"c": [x + rng.gauss(0, 0.1) for x in xs]}
-        table = correlation_matrix(h, c, include_spearman=True)
+        table = correlation_matrix(h, c)
         assert table["m"]["c"]["r"] > 0.9
-        assert table["m"]["c"]["rho"] > 0.9
+        rho, _ = spearman(h["m"], c["c"])
+        assert rho > 0.9
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_series_is_an_empty_cell(self):
+        h = {"m": [math.nan, 1.0, 2.0, 3.0]}
+        c = {"c": [1.0, 2.0, 3.0, 4.0]}
+        table = correlation_matrix(h, c)
+        assert table == {"m": {"c": {"r": None}}}
+        assert matrix_to_csv(table) == "measure,c\nm,\n"
 
     def test_csv_layout(self):
         table = {

@@ -256,6 +256,18 @@ class TestBreakdowns:
         csv_text = breakdowns_to_csv(table)
         assert csv_text.startswith("dimension,r,rho,p")
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_dimension_is_an_empty_cell(self):
+        rows = [
+            {"scored": 4, "improvement": imp, "degree": deg, "entropy": ent,
+             "n_locations": 3, "situation_rate": 0.5, "influencers": deg}
+            for imp, deg, ent in [(0.1, 1, math.nan), (0.2, 2, 0.5), (0.4, 4, 0.9)]
+        ]
+        table = improvement_breakdowns(rows)
+        assert table["entropy"] == {"r": None, "rho": None, "p": None}
+        assert table["degree"]["r"] is not None
+        assert "\nentropy,,,\n" in breakdowns_to_csv(table)
+
     def test_needs_three_users(self):
         ds = periodic_corpus(n_users=2)
         report = evaluate(ds, SostConfig())
