@@ -20,21 +20,18 @@ whether counters decay: each reader skips the records of other classes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .core import CheckIn, TemporalContext, WEEK_SECONDS
-from .errors import ConfigError, ModelEmpty, ParseError, dump_field, parse_dump
-from .homophily import MobilityIndex, WeightScheme, colocation_count
+from .core import TemporalContext, WEEK_SECONDS
+from .errors import ConfigError, ModelEmpty
 from .vomm import (
     NO_CHILDREN,
     ContextKey,
     ContextTree,
     MergedContextView,
     TreeConfig,
-    decode_label,
     temporal_labels,
 )
 
@@ -119,13 +116,11 @@ class InfluenceRecord:
     hits: int = 1
     seq: int = 0
 
-    def value_at(self, now: int | None, config: SostConfig) -> float:
+    def value_at(self, now: int, config: SostConfig) -> float:
         """Counter as seen at ``now`` (lazily decayed), or the plain
         occurrence count when ``config`` has no drift."""
         if config.drift == "none":
             return float(self.hits)
-        if now is None:
-            return self.counter
         return self.counter * _decay(
             now - self.last_seen, config.beta, config.stay_hours, config.drift
         )
@@ -157,32 +152,6 @@ def influence_jaccard(
     if union <= 0.0:
         return 0.0
     return inter / union
-
-
-def tie_strength_map(
-    target: str,
-    neighbors: Iterable[str],
-    histories: Mapping[str, Sequence[CheckIn]],
-    scheme: WeightScheme = WeightScheme(),
-    venues=None,
-    window: int = WEEK_SECONDS,
-) -> tuple[dict[str, float], bool]:
-    """Normalized co-location mass of each friend w.r.t. the target.
-
-    The weights sum to 1 whenever any friend overlaps the target at all;
-    the second return value is False when no friend has any overlap (the
-    all-zero case).
-    """
-    index_t = MobilityIndex(histories.get(target, ()))
-    masses: dict[str, float] = {}
-    for j in sorted(neighbors):
-        masses[j] = colocation_count(
-            index_t, histories.get(j, ()), window=window, scheme=scheme, venues=venues
-        )
-    total = sum(masses.values())
-    if total <= 0.0:
-        return ({j: 0.0 for j in masses}, False)
-    return ({j: m / total for j, m in masses.items()}, True)
 
 
 def classify_situation(users: frozenset[str], target: str) -> str | None:
@@ -254,7 +223,7 @@ class SocialTree:
     which ``slot_node``, ``venues_at`` and the estimator-B reads use.  The
     venue, day-class and day levels are built by replaying the pending
     writes in order when something first reads them: ``root``,
-    ``n_records``, ``path_nodes``, ``normalizer_nodes`` and the dumps.
+    ``n_records``, ``path_nodes`` and ``normalizer_nodes``.
     The replay leaves counters, creation numbers and child order exactly
     as writing every level at once would have.
     """
@@ -437,16 +406,14 @@ class SocialTree:
 
     @staticmethod
     def effective_counter(
-        node: _SocialNode | None,
+        node: _SocialNode,
         users_now: Iterable[str],
         tie: Mapping[str, float],
-        now: int | None,
+        now: int,
         config: SostConfig,
         classes: frozenset[str] | None = None,
     ) -> float:
         """Jaccard-weighted sum of the node's decayed record counters."""
-        if node is None:
-            return 0.0
         total = 0.0
         users_now = frozenset(users_now)
         for rec in node.records:
@@ -459,139 +426,16 @@ class SocialTree:
 
     @staticmethod
     def raw_total(
-        node: _SocialNode | None,
-        now: int | None,
+        node: _SocialNode,
+        now: int,
         config: SostConfig,
         classes: frozenset[str] | None = None,
     ) -> float:
-        if node is None:
-            return 0.0
         return sum(
             rec.value_at(now, config)
             for rec in node.records
             if classes is None or rec.cls in classes
         )
-
-    # -- serialization --------------------------------------------------
-
-    def to_dict(self) -> dict:
-        def enc(node: _SocialNode) -> dict:
-            return {
-                "r": [
-                    {
-                        "users": sorted(rec.users),
-                        "cls": rec.cls,
-                        "t": rec.last_seen,
-                        "c": repr(rec.counter),
-                        "h": rec.hits,
-                        "n": rec.seq,
-                    }
-                    for rec in node.records
-                ],
-                "k": {
-                    f"{lab[0]}:{lab[1]}": enc(child)
-                    for lab, child in sorted(
-                        node.children.items(), key=lambda kv: f"{kv[0][0]}:{kv[0][1]}"
-                    )
-                },
-            }
-
-        return {
-            "format": "socmob-social-tree",
-            "version": 2,
-            "classes": sorted(self.classes),
-            "root": enc(self.root),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SocialTree":
-        """Rebuild a dumped tree, its read order and its lookup structures.
-
-        Version-1 dumps carry no classes, hit counts or creation order:
-        their records load with no class, so that only readers without a
-        class filter see them; the counter stands in for the hit count,
-        and records and nodes keep the dump's order.
-        A malformed dump raises ParseError: among other faults, a counter
-        that is not a positive finite number, a hit count below 1, a
-        negative creation number, or two records of the same users in one
-        node.
-        """
-        version = data.get("version") if isinstance(data, dict) else None
-        if version not in (1, 2) or data.get("format") != "socmob-social-tree":
-            raise ValueError("not a version-1 or version-2 social tree dump")
-        classes = data.get("classes", sorted(ALL_CLASSES))
-        if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
-            raise ParseError("social tree: classes must be a list of strings")
-        tree = cls(classes)
-
-        def dec_record(entry) -> InfluenceRecord:
-            users = dump_field(entry, "users", list, "record")
-            if not all(isinstance(u, str) for u in users):
-                raise ParseError("record: users must be strings")
-            users = frozenset(users)
-            users = tree._sets.setdefault(users, users)
-            last_seen = dump_field(entry, "t", int, "record")
-            try:
-                counter = float(dump_field(entry, "c", str, "record"))
-            except ValueError:
-                raise ParseError(f"record: bad counter {entry['c']!r}") from None
-            if not (math.isfinite(counter) and counter > 0.0):
-                raise ParseError(f"record: counter {entry['c']!r} is not a positive number")
-            if version == 1:
-                return InfluenceRecord(users, last_seen, counter, None, counter)
-            hits = dump_field(entry, "h", int, "record")
-            seq = dump_field(entry, "n", int, "record")
-            if hits < 1 or seq < 0:
-                raise ParseError(f"record: hit count {hits} or creation number {seq} out of range")
-            return InfluenceRecord(
-                users,
-                last_seen,
-                counter,
-                dump_field(entry, "cls", (str, type(None)), "record"),
-                hits,
-                seq,
-            )
-
-        def dec(payload, is_root: bool = False) -> _SocialNode:
-            records = [dec_record(e) for e in dump_field(payload, "r", list, "social tree node")]
-            if len({id(rec.users) for rec in records}) < len(records):
-                raise ParseError("social tree node: two records of the same users")
-            if version == 2 and not is_root and not records:
-                raise ParseError("social tree node: a version-2 node needs a record")
-            node = _SocialNode(records)
-            children = {}
-            for key, child in dump_field(payload, "k", dict, "social tree node").items():
-                children[decode_label(key)] = dec(child)
-            if version == 2:
-                # a node is created together with its first record
-                children = dict(sorted(children.items(), key=lambda kv: kv[1].records[0].seq))
-            if children:
-                node.children = children
-            return node
-
-        tree._root = dec(dump_field(data, "root", dict, "social tree"), is_root=True)
-        tree._n_records = sum(1 for _ in _walk_records(tree._root))
-        for (_, venue), vnode in tree._root.children.items():
-            for wlab, wnode in vnode.children.items():
-                for dlab, dnode in wnode.children.items():
-                    for slab, snode in dnode.children.items():
-                        snode.users = frozenset().union(*(rec.users for rec in snode.records))
-                        tree._cells.setdefault((wlab, dlab, slab), {})[venue] = snode
-        tree._latest = max((rec.last_seen for rec in _walk_records(tree._root)), default=-math.inf)
-        return tree
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, text: str) -> "SocialTree":
-        return cls.from_dict(parse_dump(text))
-
-
-def _walk_records(node: _SocialNode):
-    yield from node.records
-    for child in node.children.values():
-        yield from _walk_records(child)
 
 
 def argmax(dist: Mapping[str, float]) -> tuple[str | None, float]:
@@ -613,7 +457,6 @@ class PredictOutcome:
     prob: float
     branch: str  # "main" | "trend"
     active_situation: bool
-    threshold: float
     social_matched: bool
 
 
@@ -709,7 +552,7 @@ class SostModel:
         venue: str,
         users_now: Iterable[str],
         temporal: TemporalContext,
-        now: int | None,
+        now: int,
     ) -> float:
         """Social probability mass of ``venue`` under the active situation
         ``users_now``, given the venue's slot node ``eta``, which holds
@@ -740,7 +583,7 @@ class SostModel:
         candidates: Iterable[str],
         users_now: frozenset[str] | None,
         temporal: TemporalContext,
-        now: int | None = None,
+        now: int,
     ) -> dict[str, float] | None:
         """Multiplicative social factor per candidate venue.
 
@@ -807,7 +650,7 @@ class SostModel:
                     for q in social_venues:
                         dist.setdefault(q, unseen)
                 factors = self.social_factors(
-                    dist.keys(), users_now, key.temporal, now=timestamp
+                    dist.keys(), users_now, key.temporal, timestamp
                 )
                 if social_memo is not None:
                     social_memo[self._reads] = (dist, factors)
@@ -817,8 +660,7 @@ class SostModel:
         if matched:
             dist = {q: p * factors[q] for q, p in dist.items()}
         best_q, best_p = argmax(dist)
-        threshold = unseen
-        if self.config.enable_trend and best_p <= threshold:
+        if self.config.enable_trend and best_p <= unseen:
             trend_pred = self._trend_prediction(key.spatial, timestamp, trend_memo)
             if trend_pred is not None:
                 return PredictOutcome(
@@ -826,7 +668,6 @@ class SostModel:
                     prob=trend_pred[1],
                     branch="trend",
                     active_situation=active,
-                    threshold=threshold,
                     social_matched=matched,
                 )
         if best_q is None:
@@ -836,7 +677,6 @@ class SostModel:
             prob=best_p,
             branch="main",
             active_situation=active,
-            threshold=threshold,
             social_matched=matched,
         )
 

@@ -238,7 +238,7 @@ def _encode_label(label: Label) -> str:
     return f"{kind}:{value}"
 
 
-def decode_label(text: str) -> Label:
+def _decode_label(text: str) -> Label:
     """A context label from its dump form ``kind:value``; ParseError when a
     calendar label's value is not an integer."""
     kind, _, value = text.partition(":")
@@ -269,7 +269,7 @@ def _decode_node(data: dict) -> _Node:
         raise ParseError("context tree node: counts must be at least 1")
     children = dump_field(data, "k", dict, "context tree node")
     if children:
-        node.children = {decode_label(k): _decode_node(v) for k, v in children.items()}
+        node.children = {_decode_label(k): _decode_node(v) for k, v in children.items()}
     return node
 
 

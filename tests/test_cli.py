@@ -202,6 +202,20 @@ class TestStatsHomophilyCorrelate:
         assert (tmp_path / "expanded" / "breakdowns.csv").exists()
         assert not loaded
 
+    def test_package_import_loads_neither_homophily_nor_numpy(self):
+        # the prediction model needs neither; numpy alone is tens of MB and
+        # a sizeable part of a second per process
+        script = (
+            "import json, sys\n"
+            "import socmob\n"
+            "print(json.dumps([m for m in ('socmob.homophily', 'numpy') if m in sys.modules]))\n"
+        )
+        src = str(Path(socmob.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        assert json.loads(done.stdout.strip().splitlines()[-1]) == []
+
     def test_homophily_pairs(self, corpus_dir, tmp_path, capsys):
         pairs = tmp_path / "pairs.csv"
         pairs.write_text("u0000,u0001\nu0002,u0003\n")

@@ -1,15 +1,11 @@
-import json
 import math
-import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from socmob.core import TemporalContext
-from socmob.errors import ConfigError, ModelEmpty, ParseError
-from socmob.homophily import WeightScheme
+from socmob.errors import ConfigError, ModelEmpty
 from socmob.sost import (
     ALL_CLASSES,
     InfluenceRecord,
@@ -20,11 +16,8 @@ from socmob.sost import (
     drift_factor,
     influence_jaccard,
     situation_labels,
-    tie_strength_map,
 )
 from socmob.vomm import ContextKey, ContextTree, MergedContextView, TreeConfig, temporal_labels
-
-from conftest import make_checkin
 
 HOUR = 3600
 T0 = 1_000_000
@@ -41,15 +34,18 @@ def record_of(node, users):
     return rec
 
 
-def social_prob(model, venue, users_now, temporal, now=None):
+def social_prob(model, venue, users_now, temporal, now):
     """The social factor of ``venue`` as ``rank_with`` reads it."""
     factors = model.social_factors([venue], frozenset(users_now), temporal, now)
     return 0.0 if factors is None else factors[venue]
 
 
-def effective_counter(model, users_now, venue, temporal, now=None):
-    """The Jaccard-weighted counter of the venue's slot node."""
+def effective_counter(model, users_now, venue, temporal, now):
+    """The Jaccard-weighted counter of the venue's slot node; 0.0 when the
+    cell holds no slot node for the venue."""
     node = model.social.slot_node(venue, temporal, model.class_filter)
+    if node is None:
+        return 0.0
     return SocialTree.effective_counter(
         node, users_now, model.tie_mass, now, model.config, model.class_filter
     )
@@ -208,66 +204,6 @@ class TestInfluenceJaccard:
         )
 
 
-class TestTieStrength:
-    def _histories(self):
-        hist = {
-            "me": [make_checkin(user="me", venue="x", ts=T0 + k * 100) for k in range(4)],
-            "f1": [make_checkin(user="f1", venue="x", ts=T0 + k * 100 + 50) for k in range(4)],
-            "f2": [make_checkin(user="f2", venue="y", ts=T0)],
-        }
-        return hist
-
-    def test_single_friend_with_overlap(self):
-        hist = self._histories()
-        ties, ok = tie_strength_map("me", ["f1"], hist)
-        assert ok and ties == {"f1": 1.0}
-
-    def test_normalization(self):
-        hist = self._histories()
-        hist["f2"] = [make_checkin(user="f2", venue="x", ts=T0 + k * 100 + 25) for k in range(4)]
-        ties, ok = tie_strength_map("me", ["f1", "f2"], hist)
-        assert ok
-        assert sum(ties.values()) == pytest.approx(1.0)
-        assert ties["f1"] == pytest.approx(0.5)
-
-    def test_no_overlap_flag(self):
-        hist = self._histories()
-        ties, ok = tie_strength_map("me", ["f2"], hist)
-        assert not ok and ties == {"f2": 0.0}
-
-    def test_four_friend_fixture_with_entropy_weighting(self):
-        from socmob.core import Venue
-
-        venues = {
-            "x": Venue("x", 37.7, -122.4, entropy=1.0),
-            "y": Venue("y", 37.71, -122.41, entropy=3.0),
-        }
-        hist = {
-            "me": [
-                make_checkin(user="me", venue="x", ts=T0),
-                make_checkin(user="me", venue="y", ts=T0 + 100),
-            ],
-            "f1": [make_checkin(user="f1", venue="x", ts=T0 + 10)],  # 1 pair at x
-            "f2": [make_checkin(user="f2", venue="y", ts=T0 + 110)],  # 1 pair at y
-            "f3": [
-                make_checkin(user="f3", venue="x", ts=T0 + 20),
-                make_checkin(user="f3", venue="y", ts=T0 + 120),
-            ],
-            "f4": [make_checkin(user="f4", venue="zz", ts=T0)],
-        }
-        wx = 1.0 / (1.0 + 1.0)
-        wy = 1.0 / (1.0 + 3.0)
-        masses = {"f1": wx, "f2": wy, "f3": wx + wy, "f4": 0.0}
-        total = sum(masses.values())
-        scheme = WeightScheme("entropy")
-        ties, ok = tie_strength_map(
-            "me", ["f1", "f2", "f3", "f4"], hist, scheme=scheme, venues=venues
-        )
-        assert ok
-        for friend, mass in masses.items():
-            assert ties[friend] == pytest.approx(mass / total, abs=1e-12)
-
-
 class TestClassify:
     def test_partition(self):
         assert classify_situation(frozenset({"me", "f"}), "me") == "I"
@@ -324,126 +260,20 @@ class TestSocialTree:
         cls = model.record_social_context(frozenset({"f", "stranger"}), "V", T0)
         assert cls == "III"  # the stranger is outside the circle
 
-    def test_serialization_round_trip(self):
-        cfg = SostConfig()
-        model = SostModel("me", ["f", "g"], config=cfg)
+    def test_venues_at_filters_by_users(self):
+        model = SostModel("me", ["f", "g"])
         model.record_social_context(frozenset({"me", "f"}), "V", T0)
         model.record_social_context(frozenset({"f", "g"}), "W", T0 + 7200)
         model.record_social_context(frozenset({"me", "f"}), "V", T0 + 9999)
+        first, second = temporal_at(T0), temporal_at(T0 + 7200)
         tree = model.social
-        clone = SocialTree.loads(tree.dumps())
-        assert clone.dumps() == tree.dumps()
-        n1 = tree.slot_node("V", temporal_at(T0))
-        n2 = clone.slot_node("V", temporal_at(T0))
-        u = frozenset({"me", "f"})
-        assert record_of(n1, u).counter == record_of(n2, u).counter  # bit exact
-        loaded = SostModel("me", ["f", "g"], config=cfg, social=clone)
-        loaded.tie_mass = model.tie_mass = {"f": 0.6, "g": 0.4}
-        for ts in (T0, T0 + 7200):
-            temporal = temporal_at(ts)
-            for users in (None, {"f"}, {"me", "g"}):
-                assert clone.venues_at(temporal, users) == tree.venues_at(temporal, users)
-            assert tree.venues_at(temporal, {"f"})
-            for venue in ("V", "W"):
-                for estimator in ("A", "B"):
-                    args = (venue, {"me", "f", "g"}, temporal, T0 + 10**5)
-                    assert social_prob(reader(loaded, estimator=estimator), *args) == (
-                        social_prob(reader(model, estimator=estimator), *args)
-                    )
-
-    def test_loads_version_1_dump(self):
-        v1 = {
-            "format": "socmob-social-tree",
-            "version": 1,
-            "root": {"r": [], "k": {"L:V": {"r": [{"users": ["f", "me"], "t": T0, "c": "2.5"}],
-                     "k": {"W:0": {"r": [{"users": ["f", "me"], "t": T0, "c": "2.5"}],
-                     "k": {"D:1": {"r": [{"users": ["f", "me"], "t": T0, "c": "2.5"}],
-                     "k": {"S:3": {"r": [{"users": ["f", "me"], "t": T0, "c": "2.5"}],
-                     "k": {}}}}}}}}}},
-        }
-        tree = SocialTree.from_dict(v1)
-        assert tree.n_records == 4
-        temporal = TemporalContext("workday", 1, 3)
-        node = tree.slot_node("V", temporal)
-        rec = record_of(node, {"me", "f"})
-        assert (rec.counter, rec.last_seen, rec.cls) == (2.5, T0, None)
-        assert tree.venues_at(temporal, {"f"}) == ["V"]
-        model = SostModel("me", ["f"], config=SostConfig(drift="none"), social=tree)
-        model.tie_mass = {"f": 1.0}
-        assert social_prob(model, "V", {"me", "f"}, temporal) == 1.0
-        # a class filter does not admit records of unknown class
-        only_ii = SostModel("me", ["f"], config=SostConfig(classes=frozenset({"II"})), social=tree)
-        only_ii.tie_mass = model.tie_mass
-        assert social_prob(only_ii, "V", {"me", "f"}, temporal) == 0.0
-
-    def test_rejects_other_formats(self):
-        with pytest.raises(ValueError):
-            SocialTree.from_dict({"format": "socmob-social-tree", "version": 3, "root": {}})
-
-    @pytest.mark.parametrize(
-        "root",
-        [
-            None,  # no root at all
-            {"r": [{"users": ["me"], "t": 1, "cls": "I", "h": 1, "n": 0}], "k": {}},  # no "c"
-            {"r": [], "k": {"L:V": {"r": [], "k": {}}}},  # a node without a record
-            {"r": [], "k": {"W:x": {"r": [{"users": ["me"], "t": 1, "c": "1.0", "cls": "I",
-                                           "h": 1, "n": 0}], "k": {}}}},  # bad label
-            {"r": [{"users": "me", "t": 1, "c": "1.0", "cls": "I", "h": 1, "n": 0}], "k": {}},
-            {"r": [{"users": ["me"], "t": "1", "c": "1.0", "cls": "I", "h": 1, "n": 0}], "k": {}},
-            {"r": [{"users": ["me"], "t": 1, "c": "x", "cls": "I", "h": 1, "n": 0}], "k": {}},
-            {"r": [{"users": ["me"], "t": 1, "c": "1.0", "cls": 3, "h": 1, "n": 0}], "k": {}},
-            {"r": {}, "k": {}},
-            [],
-        ],
-    )
-    def test_malformed_dump_is_a_parse_error(self, root):
-        dump = {"format": "socmob-social-tree", "version": 2, "classes": ["I"]}
-        if root is not None:
-            dump["root"] = root
-        with pytest.raises(ParseError):
-            SocialTree.loads(json.dumps(dump))
-
-    @pytest.mark.parametrize(
-        "fields",
-        [
-            {"c": "nan", "h": -3},
-            {"c": "nan"},
-            {"c": "inf"},
-            {"c": "0.0"},
-            {"c": "-2.5"},
-            {"h": 0},
-            {"n": -1},
-        ],
-    )
-    def test_out_of_range_record_is_a_parse_error(self, fields):
-        entry = {"users": ["f", "me"], "t": T0, "c": "1.0", "cls": "I", "h": 1, "n": 0}
-        dump = {"format": "socmob-social-tree", "version": 2, "classes": ["I"],
-                "root": {"r": [], "k": {"L:V": {"r": [dict(entry, **fields)], "k": {}}}}}
-        with pytest.raises(ParseError):
-            SocialTree.loads(json.dumps(dump))
-
-    def test_version_1_counter_must_be_positive(self):
-        v1 = {"format": "socmob-social-tree", "version": 1,
-              "root": {"r": [{"users": ["me"], "t": 1, "c": "-1.0"}], "k": {}}}
-        with pytest.raises(ParseError):
-            SocialTree.from_dict(v1)
-
-    def test_two_records_of_the_same_users_are_a_parse_error(self):
-        entry = {"users": ["f", "me"], "t": T0, "c": "1.0", "cls": "I", "h": 1, "n": 0}
-        dump = {"format": "socmob-social-tree", "version": 2, "classes": ["I"],
-                "root": {"r": [], "k": {"L:V": {"r": [entry, dict(entry, n=1)], "k": {}}}}}
-        with pytest.raises(ParseError, match="same users"):
-            SocialTree.loads(json.dumps(dump))
-
-    def test_malformed_version_1_dump_and_bad_json_are_parse_errors(self):
-        v1 = {"format": "socmob-social-tree", "version": 1,
-              "root": {"r": [{"users": ["me"], "t": 1}], "k": {}}}
-        with pytest.raises(ParseError):
-            SocialTree.from_dict(v1)
-        with pytest.raises(ParseError):
-            SocialTree.from_dict({**v1, "classes": "I"})
-        with pytest.raises(ParseError):
-            SocialTree.loads("{")
+        assert tree.venues_at(first) == ["V"]
+        assert tree.venues_at(first, {"f"}) == ["V"]
+        assert tree.venues_at(first, {"g"}) == []
+        assert tree.venues_at(second, {"me", "g"}) == ["W"]
+        assert tree.venues_at(second, {"me"}) == []
+        assert tree.venues_at(second, {"g"}, frozenset({"I"})) == []
+        assert tree.venues_at(second, {"g"}, frozenset({"II"})) == ["W"]
 
 
 class TestEffectiveCounter:
@@ -477,7 +307,7 @@ class TestEffectiveCounter:
 
     def test_missing_node(self):
         model = SostModel("me", ["f"])
-        assert effective_counter(model, {"me", "f"}, "V", temporal_at(T0)) == 0.0
+        assert effective_counter(model, {"me", "f"}, "V", temporal_at(T0), T0) == 0.0
 
 
 class TestEstimators:
@@ -495,7 +325,7 @@ class TestEstimators:
 
     def test_no_records_anywhere(self):
         model = self._model()
-        assert social_prob(model, "V", {"me", "f"}, temporal_at(T0)) == 0.0
+        assert social_prob(model, "V", {"me", "f"}, temporal_at(T0), T0) == 0.0
 
     def test_b_at_least_a_on_fixture(self):
         # two venues with evidence; estimator A spreads mass over the node,
@@ -765,9 +595,8 @@ class DictSocialTree:
     in a dict at every node, and a dict of children at every node.  Kept as
     the reference the compact layout must agree with."""
 
-    def __init__(self, classes):
+    def __init__(self):
         self.root = _DictNode()
-        self.classes = frozenset(classes)
         self.n_records = 0
         self.cells = {}
 
@@ -842,28 +671,6 @@ class DictSocialTree:
             out += [node for _, node in born]
         return out
 
-    def dumps(self):
-        def enc(node):
-            return {
-                "r": [
-                    {"users": sorted(rec.users), "cls": rec.cls, "t": rec.last_seen,
-                     "c": repr(rec.counter), "h": rec.hits, "n": rec.seq}
-                    for rec in node.records.values()
-                ],
-                "k": {
-                    f"{lab[0]}:{lab[1]}": enc(child)
-                    for lab, child in sorted(
-                        node.children.items(), key=lambda kv: f"{kv[0][0]}:{kv[0][1]}"
-                    )
-                },
-            }
-
-        return json.dumps(
-            {"format": "socmob-social-tree", "version": 2,
-             "classes": sorted(self.classes), "root": enc(self.root)},
-            sort_keys=True,
-        )
-
 
 def _records(node):
     records = node.records.values() if isinstance(node.records, dict) else node.records
@@ -872,15 +679,24 @@ def _records(node):
     ]
 
 
+def _walk(node, path=()):
+    """Every node under ``node``, depth first in child order: its path of
+    labels and its records."""
+    out = [(path, _records(node))]
+    for lab, child in node.children.items():
+        out += _walk(child, path + (lab,))
+    return out
+
+
 class TestCompactLayout:
-    """``SocialTree`` reads and dumps exactly what the dict layout did, which
+    """``SocialTree`` holds and reads exactly what the dict layout did, which
     wrote every level of a situation's path at once, whenever the reads
     come between the writes."""
 
     @staticmethod
     def assert_reads_match(tree, ref, cells):
         assert tree.n_records == ref.n_records
-        assert tree.dumps() == ref.dumps()
+        assert _walk(tree.root) == _walk(ref.root)
         for classes in [None] + CLASS_SETS:
             for temporal in cells:
                 for users_now in (None, {"f1"}, {"me", "f2"}, set(CIRCLE)):
@@ -919,48 +735,36 @@ class TestCompactLayout:
             max_size=40,
         ),
         drift=st.sampled_from(["none", "geometric", "exponential"]),
-        split=st.floats(0.0, 1.0),
         # positions in the stream after which every read is compared
         read_after=st.sets(st.integers(0, 39), max_size=4),
     )
-    def test_matches_dict_layout(self, stream, drift, split, read_after):
+    def test_matches_dict_layout(self, stream, drift, read_after):
         config = SostConfig(drift=drift)
-        tree, ref = SocialTree(ALL_CLASSES), DictSocialTree(ALL_CLASSES)
-        cut = int(split * len(stream))
+        tree, ref = SocialTree(ALL_CLASSES), DictSocialTree()
         ts = T0
         steps = []
         for users, cls, venue, step in stream:
             ts += step
             steps.append((situation_labels(venue, temporal_at(ts)), users, ts, cls))
         cells = {temporal_at(ts) for _, _, ts, _ in steps}
-        reloaded = None
         for i, (labels, users, ts, cls) in enumerate(steps):
-            if i == cut:
-                reloaded = SocialTree.loads(tree.dumps())
             tree.record(labels, frozenset(users), ts, config, cls)
             ref.record(labels, frozenset(users), ts, config, cls)
-            if reloaded is not None:
-                reloaded.record(labels, frozenset(users), ts, config, cls)
             if i in read_after:
                 self.assert_reads_match(tree, ref, cells)
-                if reloaded is not None:
-                    self.assert_reads_match(reloaded, ref, cells)
         self.assert_reads_match(tree, ref, cells)
-        if reloaded is not None:
-            assert reloaded.dumps() == tree.dumps()
-            assert reloaded.n_records == tree.n_records
 
     def test_earlier_timestamp_with_drift_is_refused(self):
         tree = SocialTree(ALL_CLASSES)
         config = SostConfig(drift="geometric")
         tree.record(situation_labels("A", temporal_at(T0)), frozenset({"f1"}), T0, config, "III")
-        before = tree.dumps()
+        before = _walk(tree.root)
         earlier = T0 - HOUR
         with pytest.raises(ValueError):
             tree.record(
                 situation_labels("B", temporal_at(earlier)), frozenset({"f2"}), earlier, config, "III"
             )
-        assert tree.dumps() == before
+        assert _walk(tree.root) == before
         # without drift nothing decays, and any order is accepted
         tree.record(
             situation_labels("B", temporal_at(earlier)), frozenset({"f2"}), earlier,
