@@ -15,8 +15,8 @@ from pathlib import Path
 
 from . import cohesion as cohesion_mod
 from . import correlation as correlation_mod
-from . import evaluation, homophily, ingestion, sost, synthgen
-from .core import SocialGraph
+from . import evaluation, ingestion, sost, synthgen
+from .core import WEIGHT_KINDS, SocialGraph
 from .errors import (
     ConfigError,
     DegenerateInput,
@@ -145,6 +145,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_homophily(args) -> int:
+    from . import homophily  # numpy: loaded by the commands that measure
+
     ds = _load(args)
     index = homophily.index_histories(ds.histories())
     scheme = homophily.WeightScheme(kind=args.weight)
@@ -189,6 +191,8 @@ def _cmd_cohesion(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
+    from . import homophily  # numpy: loaded by the commands that measure
+
     ds = _load(args)
     histories = ds.histories()
     population = sorted(histories)
@@ -414,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(p)
     p.add_argument("--pairs", required=True, help="CSV of user_a,user_b rows")
     p.add_argument("--measure", choices=["col", "scol", "scos", "srate"], required=True)
-    p.add_argument("--weight", choices=list(homophily.WEIGHT_KINDS), default="none")
+    p.add_argument("--weight", choices=list(WEIGHT_KINDS), default="none")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_homophily)
 

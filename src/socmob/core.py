@@ -54,6 +54,11 @@ class CheckIn:
             raise ValueError(f"lon must be finite with |lon| <= 180, got {self.lon}")
 
 
+#: The venue weightings of the homophily measures (``homophily.WeightScheme``),
+#: kept here so that naming them does not load the numeric stack.
+WEIGHT_KINDS = ("none", "density", "distance_from_home", "population", "entropy", "extra_role")
+
+
 @dataclass(frozen=True, slots=True)
 class Venue:
     """A venue together with its derived crowd statistics.
@@ -147,6 +152,8 @@ class TemporalContext:
     slot: int
 
     def __post_init__(self):
+        if not 0 <= self.slot < 24:
+            raise ValueError(f"slot out of range: {self.slot}")
         if self.day_class not in (WORKDAY, WEEKEND):
             raise ValueError(f"bad day_class {self.day_class!r}")
         if not 0 <= self.day_of_week <= 6:
@@ -165,6 +172,8 @@ class TemporalContext:
         slot_hours: int = 1,
         utc_offset_hours: float = DEFAULT_UTC_OFFSET_HOURS,
     ) -> "TemporalContext":
+        """The context of ``timestamp``: one shared object per day of week
+        and slot, whatever the slot width."""
         if slot_hours <= 0 or 24 % slot_hours != 0:
             raise ValueError(f"slot_hours must be a positive divisor of 24, got {slot_hours}")
         local = int(timestamp + round(utc_offset_hours * SECONDS_PER_HOUR))
@@ -172,8 +181,15 @@ class TemporalContext:
         # The epoch fell on a Thursday; index days with Sunday = 0.
         dow = (day + 4) % 7
         slot = (local % SECONDS_PER_DAY) // (slot_hours * SECONDS_PER_HOUR)
-        day_class = WEEKEND if dow in (0, 6) else WORKDAY
-        return cls(day_class=day_class, day_of_week=dow, slot=slot)
+        return _CALENDAR[dow * 24 + slot]
+
+
+# Every calendar context, at index day_of_week * 24 + slot.
+_CALENDAR = tuple(
+    TemporalContext(WEEKEND if dow in (0, 6) else WORKDAY, dow, slot)
+    for dow in range(7)
+    for slot in range(24)
+)
 
 
 def entropy_nats(counts: Iterable[float]) -> float:
@@ -202,7 +218,7 @@ def user_entropy(history: Sequence[CheckIn]) -> float:
     return entropy_nats(counts.values())
 
 
-_EARTH_RADIUS_KM = 6371.0088
+EARTH_RADIUS_KM = 6371.0088
 
 
 def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
@@ -211,7 +227,7 @@ def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     dp = p2 - p1
     dl = math.radians(lon2 - lon1)
     a = math.sin(dp / 2) ** 2 + math.cos(p1) * math.cos(p2) * math.sin(dl / 2) ** 2
-    return 2 * _EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(a)))
+    return 2 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(a)))
 
 
 #: Meters of latitude per degree; used to size the home-detection grid.

@@ -1,4 +1,9 @@
-"""Pair sampling and rank/linear correlation with significance tests."""
+"""Pair sampling and rank/linear correlation with significance tests.
+
+numpy and scipy.special are imported by the functions that compute with
+them, so that a command which only samples pairs or names the sources
+loads neither.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +11,6 @@ import math
 import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
-
-import numpy as np
-from scipy.special import stdtr
 
 from .errors import DegenerateInput, NoData
 
@@ -70,6 +72,8 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
         raise ValueError("series lengths differ")
     if len(xs) < 3:
         raise DegenerateInput("need at least 3 points")
+    import numpy as np
+
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     sx = x.std()
@@ -84,6 +88,8 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 def _average_ranks(values: Sequence[float]) -> np.ndarray:
     """Ranks starting at 1; ties share the average of their positions."""
+    import numpy as np
+
     arr = np.asarray(values, dtype=float)
     order = np.argsort(arr, kind="mergesort")
     ranks = np.empty(len(arr), dtype=float)
@@ -106,6 +112,8 @@ def _two_sided_p(t: float, df: float) -> float:
     ``stdtr(df, -x)``, so this equals twice that survival function at
     ``abs(t)`` bit for bit, without loading SciPy's statistics module.
     """
+    from scipy.special import stdtr
+
     return 2.0 * float(stdtr(df, -abs(t)))
 
 
@@ -126,6 +134,8 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
 
 def welch_ttest(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
     """Two-sided unpaired t-test without the equal-variance assumption."""
+    import numpy as np
+
     x = np.asarray(a, dtype=float)
     y = np.asarray(b, dtype=float)
     if len(x) < 2 or len(y) < 2:

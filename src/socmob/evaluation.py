@@ -10,7 +10,9 @@ on/off) are scored in a single pass against one shared individual model.
 The variants of a target also share one social store and its tie masses:
 each situation is recorded once, through the primary model, for the union
 of the variants' classes, and each variant reads it through its own class
-filter and drift setting.
+filter and drift setting.  Variants that would predict alike in an event
+are ranked once: all of them by whether they use the trend model when no
+situation is active, and by their social reading as well when one is.
 """
 
 from __future__ import annotations
@@ -29,13 +31,13 @@ from .sost import (
     CLASS_I,
     CLASS_II,
     CLASS_III,
+    EventMemo,
     SocialTree,
     SostConfig,
     SostModel,
-    argmax,
     situation_labels,
 )
-from .vomm import ContextKey, ContextTree, MergedContextView
+from .vomm import ContextKey, ContextTree, MergedContextView, argmax, temporal_labels
 
 
 # --- predictability bounds ---------------------------------------------------
@@ -277,6 +279,7 @@ def evaluate(
     if class_sweep:
         variants.extend(_class_variants(config))
     variant_names = [name for name, _ in variants]
+    n_variants = len(variants)
 
     # per-user individual trees; every user gets one because friends feed
     # the trend views
@@ -288,10 +291,10 @@ def evaluate(
             t = st_trees[user] = ContextTree(config.tree)
         return t
 
-    # models per variant per target, sharing the social store and tie
-    # masses across variants
+    # each target's models in variant order, sharing the social store and
+    # tie masses across variants; the first is the primary model
     store_classes = frozenset().union(*(vcfg.classes for _, vcfg in variants))
-    models: dict[str, dict[str, SostModel]] = {name: {} for name in variant_names}
+    models: dict[str, list[SostModel]] = {}
     watchers: dict[str, list[str]] = {}
     for tgt in target_list:
         neighbors = graph.neighbors(tgt) if tgt in graph else frozenset()
@@ -300,17 +303,30 @@ def evaluate(
             if neighbors
             else None
         )
-        social = SocialTree(store_classes)
+        social = SocialTree(store_classes, config)
         primary = SostModel(tgt, neighbors, config=config, trend=trend, social=social)
-        models["primary"][tgt] = primary
-        for name, vcfg in variants[1:]:
+        models[tgt] = [primary]
+        for _, vcfg in variants[1:]:
             clone = SostModel(tgt, neighbors, config=vcfg, trend=trend, social=social)
             clone.tie_mass = primary.tie_mass
-            models[name][tgt] = clone
+            models[tgt].append(clone)
         for u in neighbors | {tgt}:
             watchers.setdefault(u, []).append(tgt)
-    # the situation of a watched user with none of a target's circle nearby
-    lone = {u: frozenset((u,)) for u in watchers}
+
+    # Variants that predict alike, as (representative, members) pairs of
+    # indexes into the variant list.  Without an active situation, or for a
+    # user without history, only the trend gate sets variants apart; with
+    # one, their social reading does too.  Every target's models group
+    # alike, as they differ only in the target.
+    def grouped(key) -> list[tuple[int, list[int]]]:
+        groups: dict = {}
+        for i, model in enumerate(models[target_list[0]]):
+            groups.setdefault(key(model), []).append(i)
+        return [(members[0], members) for members in groups.values()]
+
+    primaries = {tgt: target_models[0] for tgt, target_models in models.items()}
+    quiet_groups = grouped(lambda m: m.config.enable_trend)
+    social_groups = grouped(lambda m: (m._reads, m.config.enable_trend))
 
     recent: dict[str, list[tuple[int, str]]] = {}
     prev_venues: dict[str, list[str]] = {}
@@ -319,7 +335,7 @@ def evaluate(
     venue_counts: dict[str, dict[str, int]] = {}
 
     records = {u: UserRecord(user=u, degree=graph.degree(u) if u in graph else 0) for u in target_list}
-    variant_hits = dict.fromkeys(variant_names, 0)
+    variant_hits = [0] * n_variants
     st_hits_total = 0
     n_scored = 0
     hour_st: dict[str, list[int]] = {"workday": [0] * 24, "weekend": [0] * 24}
@@ -332,21 +348,28 @@ def evaluate(
     # a situation stays "active" for about one stay at the venue, even when
     # the co-present check-ins happened within the shorter situation window
     active_window = max(sit_window, int(config.stay_hours * 3600))
+    # the report's hour buckets are the calendar slots when slots are hours
+    hourly = config.tree.slot_hours == 1
+    # one situation path per venue and calendar cell: the social stores
+    # queue the path of every write until they build their coarse levels
+    paths: dict[tuple[str, tuple], tuple[tuple, ...]] = {}
 
     for ci in dataset.checkins:
         u, v, t = ci.user_id, ci.venue_id, ci.timestamp
         temporal = config.tree.temporal(t)
+        # prev_venues keeps at most kappa venues per user
+        spatial = tuple(prev_venues.get(u, ()))
 
         if u in target_set:
             rec = records[u]
             st = st_trees.get(u)
-            # prev_venues keeps at most kappa venues per user
-            key = ContextKey(tuple(prev_venues.get(u, ())), temporal)
+            key = ContextKey(spatial, temporal)
             dist: dict[str, float] = {}
             unseen = 0.0
             if st is not None and st.alphabet:
                 dist, unseen = st.distribution(key)
-            st_pred, _ = argmax(dist)
+            best = argmax(dist)
+            st_pred = best[0]
 
             users_now: frozenset[str] | None = None
             last = last_event.get(u)
@@ -364,27 +387,28 @@ def evaluate(
             if users_now:
                 rec.situations += 1
 
-            row = {"user": u, "timestamp": t, "actual": v, "st": st_pred}
-            # the variants share the target's trend view: one trend
-            # prediction serves them all, for this event only
-            trend_memo: list = []
-            # variants whose social reads agree share their factors
-            social_memo: dict = {}
-            for name in variant_names:
-                model = models[name][u]
+            # one ranking per group; with an active situation, groups that
+            # differ in the trend gate or the reading share what they can
+            # through the memo
+            if users_now and dist:
+                groups, memo = social_groups, EventMemo()
+            else:
+                groups, memo = quiet_groups, None
+            preds: list[str | None] = [None] * n_variants
+            target_models = models[u]
+            for rep, members in groups:
                 try:
-                    pred = model.rank_with(
-                        key, dist, unseen, t, users_now, trend_memo, social_memo
+                    pred = target_models[rep].rank_with(
+                        key, dist, unseen, t, users_now, memo, best
                     ).venue
                 except ModelEmpty:
                     pred = None
-                if pred == v:
-                    variant_hits[name] += 1
-                    if name == "primary":
-                        rec.sost_hits += 1
-                row[name] = pred
+                for i in members:
+                    preds[i] = pred
+                    if pred == v:
+                        variant_hits[i] += 1
 
-            tc = TemporalContext.from_timestamp(
+            tc = temporal if hourly else TemporalContext.from_timestamp(
                 t, slot_hours=1, utc_offset_hours=config.tree.utc_offset_hours
             )
             bucket = "weekend" if tc.day_class == WEEKEND else "workday"
@@ -392,17 +416,20 @@ def evaluate(
                 st_hits_total += 1
                 rec.st_hits += 1
                 hour_st[bucket][tc.slot] += 1
-            if row["primary"] == v:
+            if preds[0] == v:
+                rec.sost_hits += 1
                 hour_sost[bucket][tc.slot] += 1
             rec.scored += 1
             n_scored += 1
             if v not in seen_venues.get(u, ()):
                 new_location_events += 1
             if record_predictions:
+                row = {"user": u, "timestamp": t, "actual": v, "st": st_pred}
+                row.update(zip(variant_names, preds))
                 predictions.append(row)
 
         # --- updates (strictly after the prediction) ---
-        tree_of(u).observe(v, tuple(prev_venues.get(u, ())), temporal)
+        tree_of(u).observe(v, spatial, temporal)
 
         interested = watchers.get(u)
         if interested:
@@ -416,9 +443,12 @@ def evaluate(
                         present_window.add(w)
             # each situation below adds u itself
             present_window.discard(u)
-            labels = situation_labels(v, temporal)
+            cell = temporal_labels(temporal)
+            labels = paths.get((v, cell))
+            if labels is None:
+                labels = paths[v, cell] = situation_labels(v, temporal)
             for tgt in interested:
-                primary = models["primary"][tgt]
+                primary = primaries[tgt]
                 if u == tgt:
                     for w, c in counts_week.items():
                         if w in primary.neighbors:
@@ -427,16 +457,7 @@ def evaluate(
                     c = counts_week.get(tgt, 0)
                     if c:
                         primary.add_tie_mass(u, float(c))
-                near = present_window & primary._circle
-                if near:
-                    near.add(u)
-                    situation = frozenset(near)
-                elif u == tgt:
-                    # the target alone is no situation (classify_situation)
-                    continue
-                else:
-                    situation = lone[u]
-                primary.record_social_context(situation, v, t, labels=labels)
+                primary.record_social_context(u, present_window, labels, cell, t)
 
         lst = recent.setdefault(v, [])
         lst.append((t, u))
@@ -462,10 +483,12 @@ def evaluate(
         rec.n_locations = len(counts)
         if counts:
             rec.entropy = entropy_nats(counts.values())
-        rec.influencers = len(models["primary"][u].influencers)
+        rec.influencers = len(primaries[u].influencers)
 
     accuracy_st = st_hits_total / n_scored
-    variant_accuracies = {name: hits / n_scored for name, hits in variant_hits.items()}
+    variant_accuracies = {
+        name: hits / n_scored for name, hits in zip(variant_names, variant_hits)
+    }
     accuracy_sost = variant_accuracies["primary"]
 
     class_cumulative: dict[str, dict[str, float]] = {}

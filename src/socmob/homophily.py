@@ -27,6 +27,7 @@ from .core import (
     CheckIn,
     Venue,
     WEEK_SECONDS,
+    WEIGHT_KINDS,
     group_by_venue,
     home_location,
     haversine_km,
@@ -34,8 +35,6 @@ from .core import (
 from .errors import InsufficientSpan, NoData, UnsupportedScheme
 
 HOUR_SECONDS = 3_600
-
-WEIGHT_KINDS = ("none", "density", "distance_from_home", "population", "entropy", "extra_role")
 
 
 @dataclass(frozen=True, slots=True)

@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 
 from . import cohesion
 from .core import (
+    EARTH_RADIUS_KM,
     CheckIn,
     SocialGraph,
     Venue,
@@ -120,20 +121,44 @@ def load_edges(path: str | Path) -> set[tuple[str, str]]:
 
 
 def _venue_density(coords: dict[str, tuple[float, float]], radius_m: float) -> dict[str, int]:
-    """Venues within radius_m of each venue, bucketed to avoid O(n^2)."""
-    radius_km = radius_m / 1000.0
-    # bucket size just above the radius in degrees of latitude
-    step = max(radius_km / 111.32, 1e-9)
+    """Venues within radius_m of each venue, by great-circle distance.
+
+    A neighbour's latitude differs by at most the radius's angle, and its
+    longitude by at most the widest span the radius covers at the venue's
+    latitude, which grows towards the poles (every longitude when the
+    circle holds a pole).  Buckets that wide in latitude, and as wide in
+    longitude as that span at the latitude farthest from the equator,
+    wrapping across ±180°, hold every neighbour of a venue in its own
+    bucket or an adjacent one; each candidate's distance is then measured.
+    """
+    if not coords:
+        return {}
+    # a relative margin keeps float rounding from narrowing either bound
+    margin = 1.0 + 1e-9
+    angle = math.degrees(radius_m / 1000.0 / EARTH_RADIUS_KM) * margin
+    lat_step = max(angle, 1e-9)
+    sin_angle = math.sin(math.radians(min(angle, 90.0)))
+    widest = math.cos(math.radians(max(abs(lat) for lat, _ in coords.values())))
+    n_lon = 1
+    if sin_angle < widest:
+        reach = max(math.degrees(math.asin(sin_angle / widest)) * margin, 1e-9)
+        # whole buckets around the globe, each at least the span wide;
+        # with fewer than three, one bucket holds every longitude
+        n_lon = int(360.0 / reach)
+        if n_lon < 3:
+            n_lon = 1
+    lon_step = 360.0 / n_lon
     buckets: dict[tuple[int, int], list[str]] = {}
     for vid, (lat, lon) in coords.items():
-        key = (math.floor(lat / step), math.floor(lon / step))
+        key = (math.floor(lat / lat_step), int((lon + 180.0) // lon_step) % n_lon)
         buckets.setdefault(key, []).append(vid)
+    sides = (-1, 0, 1) if n_lon > 1 else (0,)
     density = dict.fromkeys(coords, 0)
     for (bi, bj), members in buckets.items():
         nearby: list[str] = []
         for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                nearby.extend(buckets.get((bi + di, bj + dj), ()))
+            for dj in sides:
+                nearby.extend(buckets.get((bi + di, (bj + dj) % n_lon), ()))
         for vid in members:
             lat, lon = coords[vid]
             n = 0
@@ -141,7 +166,11 @@ def _venue_density(coords: dict[str, tuple[float, float]], radius_m: float) -> d
                 if other == vid:
                     continue
                 olat, olon = coords[other]
-                if haversine_km(lat, lon, olat, olon) * 1000.0 <= radius_m:
+                # farther apart in latitude alone than the radius: no need
+                # to measure
+                if abs(olat - lat) <= angle and (
+                    haversine_km(lat, lon, olat, olon) * 1000.0 <= radius_m
+                ):
                     n += 1
             density[vid] = n
     return density

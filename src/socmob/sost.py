@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import TemporalContext, WEEK_SECONDS
 from .errors import ConfigError, ModelEmpty
@@ -32,6 +32,7 @@ from .vomm import (
     ContextTree,
     MergedContextView,
     TreeConfig,
+    argmax,
     temporal_labels,
 )
 
@@ -217,7 +218,8 @@ class SocialTree:
     filter.
 
     The tree interns the user sets of its records, so equal sets are one
-    object and a node finds the record of a set by identity.
+    object and a node finds the record of a set by identity.  A tree has
+    one writer, whose ``config`` decays the stored counters.
 
     ``record`` writes only the slot level, which ``_cells`` indexes and
     which ``slot_node``, ``venues_at`` and the estimator-B reads use.  The
@@ -228,16 +230,17 @@ class SocialTree:
     as writing every level at once would have.
     """
 
-    def __init__(self, classes: Iterable[str]):
+    def __init__(self, classes: Iterable[str], config: SostConfig):
         self._root = _SocialNode([])
         self.classes = frozenset(classes)
+        self.config = config
         self._n_records = 0
         # temporal labels of a cell -> {venue: its slot node in that cell}
         self._cells: dict[tuple, dict[str, _SocialNode]] = {}
         # one object per distinct user set of the tree's records
         self._sets: dict[frozenset[str], frozenset[str]] = {}
-        # writes the coarse levels have not seen yet, four items each:
-        # labels, slot record, timestamp, config
+        # writes the coarse levels have not seen yet, three items each:
+        # labels, slot record, timestamp
         self._pending: list = []
         # the latest timestamp written; counters that decay are never
         # reinforced at an earlier time, so the replay cannot fail
@@ -257,45 +260,46 @@ class SocialTree:
     def record(
         self,
         labels: tuple[tuple, ...],
+        cell: tuple[tuple, ...],
         users: frozenset[str],
         timestamp: int,
-        config: SostConfig,
         cls: str,
     ) -> None:
         """Add one occurrence of a ``cls`` situation along its path
-        ``labels`` (``situation_labels``); the counters decay with
-        ``config``'s drift.
+        ``labels`` (``situation_labels``), whose calendar labels are
+        ``cell`` (``temporal_labels``).
 
         Raises ValueError, and stores nothing, when counters decay and
         ``timestamp`` is earlier than one written before it.
         """
         if timestamp < self._latest:
-            if config.drift != "none":
+            if self.config.drift != "none":
                 raise ValueError("elapsed time is negative")
         else:
             self._latest = timestamp
         users = self._sets.setdefault(users, users)
-        cell = self._cells.get(labels[1:])
-        node = None if cell is None else cell.get(labels[0][1])
+        venue = labels[0][1]
+        slots = self._cells.get(cell)
+        node = None if slots is None else slots.get(venue)
         if node is None:
             # seq -1: the creation number is given when the levels above
             # are built
             rec = InfluenceRecord(users, timestamp, 1.0, cls, 1, -1)
             node = _SocialNode([rec])
             node.users = users
-            if cell is None:
-                cell = self._cells[labels[1:]] = {}
-            cell[labels[0][1]] = node
+            if slots is None:
+                slots = self._cells[cell] = {}
+            slots[venue] = node
         else:
             for rec in node.records:
                 if rec.users is users:
-                    rec.reinforce(timestamp, config)
+                    rec.reinforce(timestamp, self.config)
                     break
             else:
                 rec = InfluenceRecord(users, timestamp, 1.0, cls, 1, -1)
                 node.records.append(rec)
                 node.users = node.users | users
-        self._pending.extend((labels, rec, timestamp, config))
+        self._pending.extend((labels, rec, timestamp))
 
     def _catch_up(self) -> None:
         """Write the pending situations to the venue, day-class and day
@@ -305,8 +309,9 @@ class SocialTree:
         pending = self._pending
         self._pending = []
         seq = self._n_records
+        config = self.config
         steps = iter(pending)
-        for labels, slot_rec, timestamp, config in zip(steps, steps, steps, steps):
+        for labels, slot_rec, timestamp in zip(steps, steps, steps):
             users = slot_rec.users
             node = self._root
             for lab in labels[:3]:
@@ -340,6 +345,17 @@ class SocialTree:
                         node.children = {}
                     node.children[labels[3]] = self._cells[labels[1:]][labels[0][1]]
         self._n_records = seq
+
+    def members(self, classes: Iterable[str]) -> set[str]:
+        """The users of the records of ``classes``.  Every record has a slot
+        record with its users and class, so the slot level holds them all."""
+        out: set[str] = set()
+        for cell in self._cells.values():
+            for node in cell.values():
+                for rec in node.records:
+                    if rec.cls in classes:
+                        out |= rec.users
+        return out
 
     def slot_node(
         self,
@@ -412,14 +428,23 @@ class SocialTree:
         now: int,
         config: SostConfig,
         classes: frozenset[str] | None = None,
+        jaccard: dict[frozenset[str], float] | None = None,
     ) -> float:
-        """Jaccard-weighted sum of the node's decayed record counters."""
+        """Jaccard-weighted sum of the node's decayed record counters.
+
+        ``jaccard`` keeps each record user set's overlap with ``users_now``
+        under ``tie``, for calls that share both.
+        """
         total = 0.0
         users_now = frozenset(users_now)
+        if jaccard is None:
+            jaccard = {}
         for rec in node.records:
             if classes is not None and rec.cls not in classes:
                 continue
-            j = influence_jaccard(users_now, rec.users, tie)
+            j = jaccard.get(rec.users)
+            if j is None:
+                j = jaccard[rec.users] = influence_jaccard(users_now, rec.users, tie)
             if j > 0.0:
                 total += rec.value_at(now, config) * j
         return total
@@ -438,15 +463,22 @@ class SocialTree:
         )
 
 
-def argmax(dist: Mapping[str, float]) -> tuple[str | None, float]:
-    """The most probable venue and its probability, ties going to the
-    smallest venue id; (None, -1.0) for an empty distribution."""
-    best_q: str | None = None
-    best_p = -1.0
-    for q, p in dist.items():
-        if p > best_p or (p == best_p and (best_q is None or q < best_q)):
-            best_q, best_p = q, p
-    return best_q, best_p
+class EventMemo:
+    """What the models of one target share within one event.
+
+    Those are the trend prediction, the social candidates and factors of
+    each reading (``SostModel._reads``), and each stored user set's
+    tie-weighted overlap with the active situation.  All of them hold for
+    one event only, as the trees, records and tie masses change after it:
+    make a new memo for each event and target.
+    """
+
+    __slots__ = ("trend", "factors", "jaccard")
+
+    def __init__(self):
+        self.trend: list = []  # the trend prediction, once made
+        self.factors: dict[tuple, tuple] = {}
+        self.jaccard: dict[frozenset[str], float] = {}
 
 
 @dataclass
@@ -483,15 +515,20 @@ class SostModel:
         self.target = target
         self.neighbors = frozenset(neighbors)
         self.config = config or SostConfig()
-        self.social = social if social is not None else SocialTree(self.config.classes)
+        self.social = (
+            social if social is not None else SocialTree(self.config.classes, self.config)
+        )
         # the class filter of every read; None when the store holds no
         # class this model does not admit
         self.class_filter = (
             None if self.social.classes <= self.config.classes else self.config.classes
         )
         self._circle = self.neighbors | {target}
+        # the situation of a friend with nobody of the circle nearby
+        self._alone: dict[str, frozenset[str]] = {}
         # models of one target whose social reads agree, given one store and
-        # one set of tie masses, share this key (``rank_with``'s memo)
+        # one set of tie masses, share this key (``EventMemo.factors``, and
+        # ``evaluate``'s groups of variants)
         self._reads = (
             self.class_filter,
             self.config.drift,
@@ -503,42 +540,49 @@ class SostModel:
         # raw co-location masses; influence_jaccard is scale invariant so
         # these never need normalizing
         self.tie_mass: dict[str, float] = {}
-        self.influencers: set[str] = set()
 
     # -- training ----------------------------------------------------------
 
     def record_social_context(
         self,
-        users: frozenset[str],
-        venue: str,
+        user: str,
+        others: Iterable[str],
+        labels: tuple[tuple, ...],
+        cell: tuple[tuple, ...],
         timestamp: int,
-        temporal: TemporalContext | None = None,
-        *,
-        labels: tuple[tuple, ...] | None = None,
     ) -> str | None:
-        """Store one situation occurrence if the store admits its class.
+        """Store the situation of one check-in if the store admits its class.
 
-        ``temporal`` defaults to the calendar context of ``timestamp``.
-        ``labels`` is ``situation_labels(venue, temporal)`` when the caller
-        already has it.  Influencers are counted for this model's own
-        classes only.  Returns the class that was recorded, or None when
-        gated off.
+        ``user``, the target or one of their friends, checked in with
+        ``others`` present.  The situation is ``user`` and those of
+        ``others`` in the target's circle; the target alone is none.
+        ``labels`` is ``situation_labels(venue, temporal)`` of the check-in
+        and ``cell`` is ``temporal_labels(temporal)``, which every target
+        watching the check-in shares.  Returns the class that was recorded,
+        or None.
         """
-        users = frozenset(users)
-        if not users <= self._circle:
-            users &= self._circle
-        cls = classify_situation(users, self.target)
-        if cls is None or cls not in self.social.classes:
+        near = self._circle.intersection(others) if others else None
+        if near:
+            users = near.union((user,))
+            cls = classify_situation(users, self.target)
+        elif user == self.target:
             return None
-        if labels is None:
-            if temporal is None:
-                temporal = self.config.tree.temporal(timestamp)
-            labels = situation_labels(venue, temporal)
-        self.social.record(labels, users, timestamp, self.config, cls)
-        if cls in self.config.classes:
-            self.influencers.update(users)
-            self.influencers.discard(self.target)
+        else:
+            users = self._alone.get(user)
+            if users is None:
+                users = self._alone[user] = frozenset((user,))
+            cls = CLASS_III
+        if cls not in self.social.classes:
+            return None
+        self.social.record(labels, cell, users, timestamp, cls)
         return cls
+
+    @property
+    def influencers(self) -> set[str]:
+        """The friends in the stored situations of this model's classes."""
+        out = self.social.members(self.config.classes)
+        out.discard(self.target)
+        return out
 
     def add_tie_mass(self, friend: str, mass: float) -> None:
         if mass > 0.0:
@@ -550,32 +594,28 @@ class SostModel:
         self,
         eta: _SocialNode,
         venue: str,
-        users_now: Iterable[str],
         temporal: TemporalContext,
         now: int,
+        counter: Callable[[_SocialNode], float],
     ) -> float:
         """Social probability mass of ``venue`` under the active situation
         ``users_now``, given the venue's slot node ``eta``, which holds
-        records of this model's classes."""
-        classes = self.class_filter
-        num = SocialTree.effective_counter(
-            eta, users_now, self.tie_mass, now, self.config, classes
-        )
+        records of this model's classes.  ``counter`` gives a node's
+        effective counter."""
+        num = counter(eta)
         if num <= 0.0:
             return 0.0
         if self.config.estimator == "B":
-            den = SocialTree.raw_total(eta, now, self.config, classes)
+            den = SocialTree.raw_total(eta, now, self.config, self.class_filter)
             return num / den if den > 0.0 else 0.0
         # estimator A: normalize over the node, its ancestors, and their
         # sibling nodes
         siblings = self.social.normalizer_nodes(
-            self.social.path_nodes(venue, temporal), classes
+            self.social.path_nodes(venue, temporal), self.class_filter
         )
         den = float(len(siblings))
         for node in siblings:
-            den += SocialTree.effective_counter(
-                node, users_now, self.tie_mass, now, self.config, classes
-            )
+            den += counter(node)
         return num / den if den > 0.0 else 0.0
 
     def social_factors(
@@ -584,21 +624,35 @@ class SostModel:
         users_now: frozenset[str] | None,
         temporal: TemporalContext,
         now: int,
+        memo: EventMemo | None = None,
     ) -> dict[str, float] | None:
         """Multiplicative social factor per candidate venue.
 
         Returns None when no situation is active or no stored record
         matches the current one: every factor is then 1 and the model
-        degrades to the individual component.
+        degrades to the individual component.  Each node's effective
+        counter is computed once per call, and each stored user set's
+        overlap with ``users_now`` once per ``memo``.
         """
         if not users_now or len(users_now) < 2:
             return None
         # a venue without a slot node in this temporal cell scores 0.0
         probs = dict.fromkeys(candidates, 0.0)
         classes = self.class_filter
+        jaccard = {} if memo is None else memo.jaccard
+        counters: dict[_SocialNode, float] = {}
+
+        def counter(node: _SocialNode) -> float:
+            total = counters.get(node)
+            if total is None:
+                total = counters[node] = SocialTree.effective_counter(
+                    node, users_now, self.tie_mass, now, self.config, classes, jaccard
+                )
+            return total
+
         for q, eta in self.social._cells.get(temporal_labels(temporal), {}).items():
             if q in probs and _holds(eta, classes):
-                probs[q] = self._prob_at(eta, q, users_now, temporal, now)
+                probs[q] = self._prob_at(eta, q, temporal, now, counter)
         if all(p <= 0.0 for p in probs.values()):
             return None
         return probs
@@ -612,56 +666,56 @@ class SostModel:
         unseen: float,
         timestamp: int,
         users_now: frozenset[str] | None = None,
-        trend_memo: list | None = None,
-        social_memo: dict | None = None,
+        memo: EventMemo | None = None,
+        best: tuple[str | None, float] | None = None,
     ) -> PredictOutcome:
         """Prediction given a precomputed individual distribution.
 
         ``dist``/``unseen`` must come from the individual tree at ``key``;
         the engine computes them once per event and shares them across
-        model variants.  The main branch multiplies each candidate by its
-        social factor; the trend model takes over when even the best
-        candidate is no more likely than a never-seen venue would be (the
-        gate threshold), that is, when the main model has no evidence
-        above its uniform floor.  ``trend_memo`` is as for
-        ``_trend_prediction``.
+        model variants, and ``best``, when given, is ``argmax(dist)``.  The
+        main branch multiplies each candidate by its social factor; the
+        trend model takes over when even the best candidate is no more
+        likely than a never-seen venue would be (the gate threshold), that
+        is, when the main model has no evidence above its uniform floor.
 
         A user with no history yet passes the empty ``dist`` and ``unseen``
         0.0.  Such a user gets no social candidate, active situation or
         not: the trend model predicts, and without it ModelEmpty is raised.
 
-        ``social_memo`` lets the models of one target that share the store
-        and the tie masses, and agree in class filter, drift, beta, stay
-        time and estimator, compute the social candidates and factors once
-        per event: the first call stores them in the dict, and later calls
-        with the same other arguments reuse them.  Pass a new empty dict
-        for each event.
+        ``memo`` lets the models of one target that share the store, the
+        tie masses and the trend view compute within one event one trend
+        prediction and, for each reading (class filter, drift, beta, stay
+        time and estimator), one set of social candidates and factors.
         """
         active = bool(users_now and len(users_now) >= 2)
         factors: dict[str, float] | None = None
+        scored = dist
         if active and dist:
-            shared = None if social_memo is None else social_memo.get(self._reads)
+            shared = None if memo is None else memo.factors.get(self._reads)
             if shared is None:
                 social_venues = self.social.venues_at(
                     key.temporal, users_now, self.class_filter
                 )
                 if any(q not in dist for q in social_venues):
-                    dist = dict(dist)
+                    scored = dict(dist)
                     for q in social_venues:
-                        dist.setdefault(q, unseen)
+                        scored.setdefault(q, unseen)
                 factors = self.social_factors(
-                    dist.keys(), users_now, key.temporal, timestamp
+                    scored.keys(), users_now, key.temporal, timestamp, memo
                 )
-                if social_memo is not None:
-                    social_memo[self._reads] = (dist, factors)
+                if memo is not None:
+                    memo.factors[self._reads] = (scored, factors)
             else:
-                dist, factors = shared
+                scored, factors = shared
         matched = factors is not None
         if matched:
-            dist = {q: p * factors[q] for q, p in dist.items()}
-        best_q, best_p = argmax(dist)
+            scored = {q: p * factors[q] for q, p in scored.items()}
+        if best is None or scored is not dist:
+            best = argmax(scored)
+        best_q, best_p = best
         if self.config.enable_trend and best_p <= unseen:
-            trend_pred = self._trend_prediction(key.spatial, timestamp, trend_memo)
+            trend_pred = self._trend_prediction(key.spatial, key.temporal, memo)
             if trend_pred is not None:
                 return PredictOutcome(
                     venue=trend_pred[0],
@@ -681,25 +735,26 @@ class SostModel:
         )
 
     def _trend_prediction(
-        self, spatial: Sequence[str], timestamp: int, memo: list | None = None
+        self,
+        spatial: Sequence[str],
+        temporal: TemporalContext,
+        memo: EventMemo | None = None,
     ) -> tuple[str, float] | None:
         """The trend model's best venue with its probability, or None.
 
         ``memo`` lets the variants of one target share the prediction
         within one event, as they share the trend view and the tree
-        configuration: the first call appends its prediction to the list
-        and later calls return it.  Pass a new empty list for each event; a
-        prediction kept after a tree observed a later check-in is stale.
+        configuration.
         """
-        if memo:
-            return memo[0]
+        if memo is not None and memo.trend:
+            return memo.trend[0]
         pred = None
         if self.trend is not None:
             tkey = ContextKey(
                 spatial=tuple(spatial)[len(spatial) - self.config.tree.kappa :]
                 if len(spatial) > self.config.tree.kappa
                 else tuple(spatial),
-                temporal=self.config.tree.temporal(timestamp),
+                temporal=temporal,
             )
             try:
                 ranked = self.trend.predict(tkey, limit=1)
@@ -707,5 +762,5 @@ class SostModel:
                 ranked = []
             pred = ranked[0] if ranked else None
         if memo is not None:
-            memo.append(pred)
+            memo.trend.append(pred)
         return pred

@@ -21,12 +21,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .core import (
-    CheckIn,
-    DEFAULT_UTC_OFFSET_HOURS,
-    TemporalContext,
-    WEEKEND,
-)
+from .core import CheckIn, DEFAULT_UTC_OFFSET_HOURS, TemporalContext
 from .errors import ModelEmpty, ParseError, dump_field, parse_dump
 
 Label = tuple[str, object]
@@ -62,11 +57,16 @@ class ContextKey:
 
 
 def temporal_labels(t: TemporalContext) -> tuple[Label, Label, Label]:
-    return (
-        ("W", 1 if t.day_class == WEEKEND else 0),
-        ("D", t.day_of_week),
-        ("S", t.slot),
-    )
+    """The day-class, day and slot labels of a calendar context: one shared
+    tuple per day of week and slot."""
+    return _TEMPORAL_LABELS[t.day_of_week * 24 + t.slot]
+
+
+_TEMPORAL_LABELS = tuple(
+    (("W", 1 if dow in (0, 6) else 0), ("D", dow), ("S", slot))
+    for dow in range(7)
+    for slot in range(24)
+)
 
 
 def escape_chain(spatial: Sequence[str], temporal: TemporalContext) -> list[Context]:
@@ -118,21 +118,24 @@ class ContextTree:
         for k in range(n, -1, -1):
             node = self.root
             for v in spatial[n - k :]:
-                node = self._child(node, ("L", v))
-            node.counts[symbol] = node.counts.get(symbol, 0) + 1
+                child = node.children.get(("L", v))
+                if child is None:
+                    if node.children is NO_CHILDREN:
+                        node.children = {}
+                    child = node.children["L", v] = _Node()
+                node = child
+            counts = node.counts
+            counts[symbol] = counts.get(symbol, 0) + 1
             for lab in tl:
-                node = self._child(node, lab)
-                node.counts[symbol] = node.counts.get(symbol, 0) + 1
+                child = node.children.get(lab)
+                if child is None:
+                    if node.children is NO_CHILDREN:
+                        node.children = {}
+                    child = node.children[lab] = _Node()
+                node = child
+                counts = node.counts
+                counts[symbol] = counts.get(symbol, 0) + 1
         self.n_events += 1
-
-    @staticmethod
-    def _child(node: _Node, label: Label) -> _Node:
-        nxt = node.children.get(label)
-        if nxt is None:
-            if node.children is NO_CHILDREN:
-                node.children = {}
-            nxt = node.children[label] = _Node()
-        return nxt
 
     def train_event(self, venue: str, timestamp: int, prev_venues: Sequence[str]) -> None:
         self.observe(venue, tuple(prev_venues), self.config.temporal(timestamp))
@@ -186,9 +189,7 @@ class ContextTree:
 
     def predict(self, key: ContextKey, limit: int | None = None) -> list[tuple[str, float]]:
         """Known symbols ranked by probability, ties broken by symbol id."""
-        dist, _ = self.distribution(key)
-        ranked = sorted(dist.items(), key=lambda kv: (-kv[1], kv[0]))
-        return ranked[:limit] if limit is not None else ranked
+        return _ranked(self.distribution(key)[0], limit)
 
     # -- serialization ----------------------------------------------------
 
@@ -305,9 +306,28 @@ class MergedContextView:
         return _ppm([_merged(column) for column in columns], self.alphabet, candidates)
 
     def predict(self, key: ContextKey, limit: int | None = None) -> list[tuple[str, float]]:
-        dist, _ = self.distribution(key)
-        ranked = sorted(dist.items(), key=lambda kv: (-kv[1], kv[0]))
-        return ranked[:limit] if limit is not None else ranked
+        return _ranked(self.distribution(key)[0], limit)
+
+
+def argmax(dist: Mapping[str, float]) -> tuple[str | None, float]:
+    """The most probable venue and its probability, ties going to the
+    smallest venue id; (None, -1.0) for an empty distribution."""
+    best_q: str | None = None
+    best_p = -1.0
+    for q, p in dist.items():
+        if p > best_p or (p == best_p and (best_q is None or q < best_q)):
+            best_q, best_p = q, p
+    return best_q, best_p
+
+
+def _ranked(dist: Mapping[str, float], limit: int | None) -> list[tuple[str, float]]:
+    """The symbols by falling probability, ties by symbol id; the first
+    ``limit`` of them.  The top one alone takes no sort."""
+    if limit == 1:
+        best = argmax(dist)
+        return [] if best[0] is None else [best]
+    ranked = sorted(dist.items(), key=lambda kv: (-kv[1], kv[0]))
+    return ranked[:limit] if limit is not None else ranked
 
 
 def _chain_counts(

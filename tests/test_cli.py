@@ -202,6 +202,49 @@ class TestStatsHomophilyCorrelate:
         assert (tmp_path / "expanded" / "breakdowns.csv").exists()
         assert not loaded
 
+    def test_each_command_loads_only_the_numeric_modules_it_uses(self, corpus_dir, tmp_path):
+        # numpy and scipy.special are tens of MB per process; only the
+        # measuring commands need numpy, and only the p-values of evaluate
+        # and report need scipy.special
+        data = ["--checkins", corpus_dir / "checkins.csv",
+                "--edges", corpus_dir / "edges.csv", "--activity-threshold", "5"]
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("u0000,u0001\nu0002,u0003\n")
+        rep = tmp_path / "report.json"
+        cases = [
+            (["synth", "--seed", "1", "--users", "8", "--days", "3",
+              "--activity-threshold", "1", "--out", tmp_path / "synth"], []),
+            (["train", *data, "--user", "u0000", "--out", tmp_path / "tree.json"], []),
+            (["ingest", *data, "--out", tmp_path / "norm"], []),
+            (["stats", *data, "--out", tmp_path / "stats.json"], []),
+            (["cohesion", "--graph", corpus_dir / "edges.csv", "--cliques",
+              "--out", tmp_path / "cliques.jsonl"], []),
+            (["bounds", "--entropy", "3.48", "--locations", "62"], []),
+            (["homophily", *data, "--pairs", pairs, "--measure", "scos",
+              "--out", tmp_path / "h.csv"], ["numpy"]),
+            (["correlate", *data, "--sample-size", "50", "--out", tmp_path / "c.csv"],
+             ["numpy"]),
+            (["evaluate", *data, "--out", rep], ["numpy", "scipy.special"]),
+            (["report", "--eval", rep, "--out", tmp_path / "expanded"],
+             ["numpy", "scipy.special"]),
+        ]
+        script = (
+            "import json, sys\n"
+            "from socmob import cli\n"
+            "code = cli.main(json.loads(sys.argv[1]))\n"
+            "print(json.dumps([code, [m for m in ('numpy', 'scipy.special') if m in sys.modules]]))\n"
+        )
+        src = str(Path(socmob.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        for argv, want in cases:
+            done = subprocess.run(
+                [sys.executable, "-c", script, json.dumps([str(a) for a in argv])],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            code, loaded = json.loads(done.stdout.strip().splitlines()[-1])
+            assert (argv[0], code, loaded) == (argv[0], 0, want)
+        assert (tmp_path / "expanded" / "breakdowns.csv").exists()
+
     def test_package_import_loads_neither_homophily_nor_numpy(self):
         # the prediction model needs neither; numpy alone is tens of MB and
         # a sizeable part of a second per process

@@ -14,6 +14,8 @@ from socmob.core import (
     user_entropy,
 )
 from socmob.errors import NoData, UnknownNode
+from socmob.sost import situation_labels
+from socmob.vomm import TreeConfig, temporal_labels
 
 from conftest import make_checkin
 
@@ -90,6 +92,46 @@ class TestTemporalContext:
         for slot_hours in (5, 0, -1):
             with pytest.raises(ValueError):
                 TemporalContext.from_timestamp(0, slot_hours=slot_hours)
+
+    def test_slot_out_of_range(self):
+        with pytest.raises(ValueError):
+            TemporalContext(day_class="workday", day_of_week=1, slot=24)
+
+
+class TestSharedCalendarContexts:
+    """Contexts and their labels are shared objects, equal to the ones the
+    arithmetic builds afresh."""
+
+    @given(
+        timestamp=st.integers(-(10**10), 10**10),
+        slot_hours=st.sampled_from([1, 2, 3, 4, 6, 8, 12, 24]),
+        offset=st.one_of(
+            st.sampled_from([-12.0, -9.5, -8.0, -3.25, 0.0, 5.75, 14.0]),
+            st.floats(-14.0, 14.0, allow_nan=False),
+        ),
+        later=st.integers(0, 2 * 86_400),
+    )
+    def test_equal_to_fresh_and_shared_within_a_slot(self, timestamp, slot_hours, offset, later):
+        local = int(timestamp + round(offset * 3600))
+        dow = (local // 86_400 + 4) % 7
+        slot = (local % 86_400) // (slot_hours * 3600)
+        fresh = TemporalContext("weekend" if dow in (0, 6) else "workday", dow, slot)
+        got = TemporalContext.from_timestamp(timestamp, slot_hours, offset)
+        assert got == fresh
+        tree = TreeConfig(slot_hours=slot_hours, utc_offset_hours=offset)
+        assert tree.temporal(timestamp) is got
+        labels = (("W", 1 if dow in (0, 6) else 0), ("D", dow), ("S", slot))
+        assert temporal_labels(got) == labels
+        assert temporal_labels(fresh) is temporal_labels(got)
+        assert situation_labels("v1", fresh) == (("L", "v1"),) + labels
+        # another timestamp in the same local slot of the same weekday, or
+        # exactly a week later, gets the same objects
+        other = timestamp + later
+        other_local = local + later
+        if other_local // (slot_hours * 3600) == local // (slot_hours * 3600):
+            assert TemporalContext.from_timestamp(other, slot_hours, offset) is got
+        week_later = TemporalContext.from_timestamp(timestamp + 7 * 86_400, slot_hours, offset)
+        assert week_later is got
 
 
 class TestEntropy:

@@ -405,9 +405,8 @@ class TestOncePerEvent:
     def test_one_social_factors_per_read_setting(self, corpus, monkeypatch):
         rank_with = SostModel.rank_with
 
-        def unshared(self, key, dist, unseen, timestamp, users_now=None,
-                     trend_memo=None, social_memo=None):
-            return rank_with(self, key, dist, unseen, timestamp, users_now, trend_memo)
+        def unshared(self, key, dist, unseen, timestamp, users_now=None, memo=None, best=None):
+            return rank_with(self, key, dist, unseen, timestamp, users_now, None, best)
         shared, most_shared = self._run(corpus, monkeypatch, SostModel, "social_factors")
         unshared, most_unshared = self._run(
             corpus, monkeypatch, SostModel, "social_factors", ("rank_with", unshared)

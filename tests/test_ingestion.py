@@ -1,11 +1,14 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from socmob.core import CheckIn
+from socmob.core import EARTH_RADIUS_KM, CheckIn, haversine_km
 from socmob.errors import IntegrityError, NoData, ParseError
 from socmob.ingestion import (
     IngestConfig,
+    _venue_density,
     build_dataset,
     descriptive_stats,
     load_checkins,
@@ -144,6 +147,53 @@ class TestDensity:
         assert ds.venues["v0"].density == 1
         assert ds.venues["v1"].density == 2
         assert ds.venues["v2"].density == 1
+
+    @staticmethod
+    def _pair_density(lat, lon_a, lon_b):
+        rows = [
+            make_checkin(user="a", venue="va", ts=0, lat=lat, lon=lon_a),
+            make_checkin(user="b", venue="vb", ts=1, lat=lat, lon=lon_b),
+        ]
+        ds = build_dataset(rows, [], IngestConfig(density_radius_m=200.0))
+        return ds.venues["va"].density, ds.venues["vb"].density
+
+    def test_east_west_neighbours_at_high_latitude(self):
+        # 150 m of longitude at 70 degrees north spans more than one bucket
+        # of latitude-sized width
+        lat = 70.0
+        step = math.degrees(0.150 / (EARTH_RADIUS_KM * math.cos(math.radians(lat))))
+        assert haversine_km(lat, 10.0, lat, 10.0 + step) * 1000.0 == pytest.approx(150.0, rel=1e-3)
+        assert self._pair_density(lat, 10.0, 10.0 + step) == (1, 1)
+
+    def test_neighbours_across_the_antimeridian(self):
+        lat = -17.0
+        half = math.degrees(0.055 / (EARTH_RADIUS_KM * math.cos(math.radians(lat))))
+        assert haversine_km(lat, 180.0 - half, lat, -180.0 + half) * 1000.0 == pytest.approx(
+            110.0, rel=1e-3
+        )
+        assert self._pair_density(lat, 180.0 - half, -180.0 + half) == (1, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        points=st.lists(
+            st.tuples(
+                st.one_of(st.floats(-90, 90), st.floats(85, 90), st.floats(-90, -85)),
+                st.one_of(st.floats(-180, 180), st.floats(179.99, 180), st.floats(-180, -179.99)),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        radius_m=st.sampled_from([0.0, 200.0, 5_000.0, 700_000.0]),
+    )
+    def test_matches_all_pairs(self, points, radius_m):
+        coords = {f"v{i}": p for i, p in enumerate(points)}
+        got = _venue_density(coords, radius_m)
+        for vid, (lat, lon) in coords.items():
+            assert got[vid] == sum(
+                1
+                for other, (olat, olon) in coords.items()
+                if other != vid and haversine_km(lat, lon, olat, olon) * 1000.0 <= radius_m
+            )
 
 
 class TestStats:

@@ -28,6 +28,17 @@ def temporal_at(ts, cfg=None):
     return cfg.temporal(ts)
 
 
+def record(model, users, venue, ts):
+    """Store the situation ``users`` at ``venue`` and ``ts`` as `evaluate`
+    does: the check-in of one of them with the others present."""
+    user = min(users)
+    temporal = temporal_at(ts, model.config.tree)
+    return model.record_social_context(
+        user, frozenset(users) - {user}, situation_labels(venue, temporal),
+        temporal_labels(temporal), ts,
+    )
+
+
 def record_of(node, users):
     """The one record of ``users`` at a social tree node."""
     (rec,) = [rec for rec in node.records if rec.users == frozenset(users)]
@@ -228,7 +239,7 @@ class TestClassify:
 class TestSocialTree:
     def test_first_occurrence_initializes(self):
         model = SostModel("me", ["f"])
-        cls = model.record_social_context(frozenset({"me", "f"}), "V", T0)
+        cls = record(model, frozenset({"me", "f"}), "V", T0)
         assert cls == "I"
         node = model.social.slot_node("V", temporal_at(T0))
         assert node is not None
@@ -238,33 +249,33 @@ class TestSocialTree:
     def test_repeat_zero_elapsed(self):
         model = SostModel("me", ["f"])
         u = frozenset({"me", "f"})
-        model.record_social_context(u, "V", T0)
-        model.record_social_context(u, "V", T0)
+        record(model, u, "V", T0)
+        record(model, u, "V", T0)
         node = model.social.slot_node("V", temporal_at(T0))
         assert record_of(node, u).counter == pytest.approx(2.0)
 
     def test_class_ii_creates_path_for_unvisited_venue(self):
         model = SostModel("me", ["f", "g"])
-        cls = model.record_social_context(frozenset({"f", "g"}), "NEVER", T0)
+        cls = record(model, frozenset({"f", "g"}), "NEVER", T0)
         assert cls == "II"
         assert model.social.slot_node("NEVER", temporal_at(T0)) is not None
         assert len(model.social.path_nodes("NEVER", temporal_at(T0))) == 4
 
     def test_class_gating(self):
         model = SostModel("me", ["f"], config=SostConfig(classes=frozenset({"II"})))
-        assert model.record_social_context(frozenset({"me", "f"}), "V", T0) is None
+        assert record(model, frozenset({"me", "f"}), "V", T0) is None
         assert model.social.slot_node("V", temporal_at(T0)) is None
 
     def test_strangers_filtered(self):
         model = SostModel("me", ["f"])
-        cls = model.record_social_context(frozenset({"f", "stranger"}), "V", T0)
+        cls = record(model, frozenset({"f", "stranger"}), "V", T0)
         assert cls == "III"  # the stranger is outside the circle
 
     def test_venues_at_filters_by_users(self):
         model = SostModel("me", ["f", "g"])
-        model.record_social_context(frozenset({"me", "f"}), "V", T0)
-        model.record_social_context(frozenset({"f", "g"}), "W", T0 + 7200)
-        model.record_social_context(frozenset({"me", "f"}), "V", T0 + 9999)
+        record(model, frozenset({"me", "f"}), "V", T0)
+        record(model, frozenset({"f", "g"}), "W", T0 + 7200)
+        record(model, frozenset({"me", "f"}), "V", T0 + 9999)
         first, second = temporal_at(T0), temporal_at(T0 + 7200)
         tree = model.social
         assert tree.venues_at(first) == ["V"]
@@ -280,14 +291,14 @@ class TestEffectiveCounter:
     def test_single_matching_record(self):
         model = SostModel("me", ["f"])
         model.tie_mass = {"f": 1.0}
-        model.record_social_context(frozenset({"me", "f"}), "V", T0)
+        record(model, frozenset({"me", "f"}), "V", T0)
         got = effective_counter(model, {"me", "f"}, "V", temporal_at(T0), now=T0)
         assert got == pytest.approx(1.0)
 
     def test_disjoint_records(self):
         model = SostModel("me", ["f", "g"])
         model.tie_mass = {"f": 0.6, "g": 0.4}
-        model.record_social_context(frozenset({"f"}), "V", T0)
+        record(model, frozenset({"f"}), "V", T0)
         got = effective_counter(model, {"me", "g"}, "V", temporal_at(T0), now=T0)
         assert got == 0.0
 
@@ -297,7 +308,7 @@ class TestEffectiveCounter:
         model.tie_mass = {"f": 0.5, "g": 0.3, "h": 0.2}
         sets = [frozenset({"me", "f"}), frozenset({"f", "g"}), frozenset({"h"})]
         for s in sets:
-            model.record_social_context(s, "V", T0)
+            record(model, s, "V", T0)
         now = frozenset({"me", "f", "g"})
         expect = sum(
             1.0 * influence_jaccard(now, s, model.tie_mass) for s in sets
@@ -319,7 +330,7 @@ class TestEstimators:
 
     def test_estimator_b_single_record_is_one(self):
         model = self._model()
-        model.record_social_context(frozenset({"me", "f"}), "V", T0)
+        record(model, frozenset({"me", "f"}), "V", T0)
         got = social_prob(model, "V", {"me", "f"}, temporal_at(T0), now=T0)
         assert got == pytest.approx(1.0)
 
@@ -332,8 +343,8 @@ class TestEstimators:
         # its ancestors and their siblings, so B gives the evidenced venue
         # more weight
         model = self._model()
-        model.record_social_context(frozenset({"me", "f"}), "V", T0)
-        model.record_social_context(frozenset({"me", "g"}), "W", T0 + 60)
+        record(model, frozenset({"me", "f"}), "V", T0)
+        record(model, frozenset({"me", "g"}), "W", T0 + 60)
         now = {"me", "f"}
         b = social_prob(model, "V", now, temporal_at(T0), now=T0)
         a = social_prob(reader(model, estimator="A"), "V", now, temporal_at(T0), now=T0)
@@ -345,9 +356,9 @@ class TestEstimators:
         t1 = T0
         u1 = frozenset({"me", "f"})
         u2 = frozenset({"me", "g"})
-        model.record_social_context(u1, "V", t1)
-        model.record_social_context(u1, "V", t1)  # counter 2
-        model.record_social_context(u2, "V", t1)
+        record(model, u1, "V", t1)
+        record(model, u1, "V", t1)  # counter 2
+        record(model, u2, "V", t1)
         now = {"me", "f"}
         tie = model.tie_mass
         j1 = influence_jaccard(now, u1, tie)
@@ -392,7 +403,7 @@ class TestCombinedAndPredict:
         now = frozenset({"me", "f"})
         key = tree.key(prev, ts)
         # plant a record for symbol "A" at the current temporal context
-        model.record_social_context(now, "A", ts)
+        record(model, now, "A", ts)
         factor = social_prob(model, "A", now, key.temporal, now=ts)
         individual = tree.prob("A", key)
         dist, unseen = tree.distribution(key)
@@ -432,7 +443,7 @@ class TestCombinedAndPredict:
         )
         model.tie_mass = {"f1": 0.5, "f2": 0.5}
         now = frozenset({"me", "f1", "f2"})
-        model.record_social_context(now, "N", ts - 7 * 86_400)
+        record(model, now, "N", ts - 7 * 86_400)
         key = tree.key(prev, ts)
         dist, unseen = tree.distribution(key)
         outcome = model.rank_with(key, dist, unseen, ts, now)
@@ -475,7 +486,7 @@ class TestCombinedAndPredict:
         model = SostModel("me", ["f"], config=SostConfig(enable_trend=False))
         model.tie_mass = {"f": 1.0}
         now = frozenset({"me", "f"})
-        model.record_social_context(now, "V", T0)
+        record(model, now, "V", T0)
         temporal = temporal_at(T0)
         assert model.social.venues_at(temporal, now) == ["V"]
         assert social_prob(model, "V", now, temporal, now=T0) == 1.0
@@ -548,7 +559,7 @@ class TestSharedStore:
         primary_cfg = SostConfig(drift=drift, classes=primary_classes)
         configs = [primary_cfg, SostConfig(drift="none", classes=primary_classes)]
         configs += [SostConfig(drift=drift, classes=c, enable_trend=False) for c in reader_classes]
-        store = SocialTree(frozenset().union(*(c.classes for c in configs)))
+        store = SocialTree(frozenset().union(*(c.classes for c in configs)), primary_cfg)
         shared = [SostModel("me", FRIENDS, config=c, social=store) for c in configs]
         alone = [SostModel("me", FRIENDS, config=c) for c in configs]
         tie = dict(zip(FRIENDS, ties))
@@ -558,10 +569,9 @@ class TestSharedStore:
         ts = T0
         for users, venue, step in stream:
             ts += step
-            temporal = temporal_at(ts)
-            shared[0].record_social_context(users, venue, ts, temporal=temporal)
+            record(shared[0], users, venue, ts)
             for model in alone:
-                model.record_social_context(users, venue, ts)
+                record(model, users, venue, ts)
         assert shared[0].influencers == alone[0].influencers
 
         now = ts + 5 * HOUR
@@ -740,7 +750,7 @@ class TestCompactLayout:
     )
     def test_matches_dict_layout(self, stream, drift, read_after):
         config = SostConfig(drift=drift)
-        tree, ref = SocialTree(ALL_CLASSES), DictSocialTree()
+        tree, ref = SocialTree(ALL_CLASSES, config), DictSocialTree()
         ts = T0
         steps = []
         for users, cls, venue, step in stream:
@@ -748,26 +758,26 @@ class TestCompactLayout:
             steps.append((situation_labels(venue, temporal_at(ts)), users, ts, cls))
         cells = {temporal_at(ts) for _, _, ts, _ in steps}
         for i, (labels, users, ts, cls) in enumerate(steps):
-            tree.record(labels, frozenset(users), ts, config, cls)
+            tree.record(labels, temporal_labels(temporal_at(ts)), frozenset(users), ts, cls)
             ref.record(labels, frozenset(users), ts, config, cls)
             if i in read_after:
                 self.assert_reads_match(tree, ref, cells)
         self.assert_reads_match(tree, ref, cells)
 
     def test_earlier_timestamp_with_drift_is_refused(self):
-        tree = SocialTree(ALL_CLASSES)
-        config = SostConfig(drift="geometric")
-        tree.record(situation_labels("A", temporal_at(T0)), frozenset({"f1"}), T0, config, "III")
+        def where(venue, ts):
+            temporal = temporal_at(ts)
+            return situation_labels(venue, temporal), temporal_labels(temporal)
+
+        tree = SocialTree(ALL_CLASSES, SostConfig(drift="geometric"))
+        tree.record(*where("A", T0), frozenset({"f1"}), T0, "III")
         before = _walk(tree.root)
         earlier = T0 - HOUR
         with pytest.raises(ValueError):
-            tree.record(
-                situation_labels("B", temporal_at(earlier)), frozenset({"f2"}), earlier, config, "III"
-            )
+            tree.record(*where("B", earlier), frozenset({"f2"}), earlier, "III")
         assert _walk(tree.root) == before
         # without drift nothing decays, and any order is accepted
-        tree.record(
-            situation_labels("B", temporal_at(earlier)), frozenset({"f2"}), earlier,
-            SostConfig(drift="none"), "III",
-        )
+        tree = SocialTree(ALL_CLASSES, SostConfig(drift="none"))
+        tree.record(*where("A", T0), frozenset({"f1"}), T0, "III")
+        tree.record(*where("B", earlier), frozenset({"f2"}), earlier, "III")
         assert tree.n_records == 8
