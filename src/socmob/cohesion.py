@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -115,34 +114,38 @@ def avg_path_length(
     """Mean and std of shortest-path lengths, BFS from sampled sources.
 
     Only reachable pairs contribute.  Sampling without replacement when the
-    graph is small enough, deterministic per seed.
+    graph is small enough, deterministic per seed.  Each BFS advances one
+    level at a time over vertex bitmasks; the lengths are integers, so the
+    sums are exact whatever order the pairs are counted in.
     """
-    nodes = sorted(g.nodes)
-    if not nodes or g.edge_count == 0:
+    if g.edge_count == 0:
         raise UnknownNode("path length needs a graph with at least one edge")
+    nodes, adj = _bit_adjacency(g)
     rng = random.Random(seed)
     if sample_size >= len(nodes):
         sources = nodes
     else:
         sources = rng.sample(nodes, sample_size)
+    index = {v: i for i, v in enumerate(nodes)}
     total = 0.0
     total_sq = 0.0
     count = 0
     for src in sources:
-        dist = {src: 0}
-        q = deque([src])
-        while q:
-            u = q.popleft()
-            du = dist[u]
-            for v in g.neighbors(u):
-                if v not in dist:
-                    dist[v] = du + 1
-                    q.append(v)
-        for v, d in dist.items():
-            if v != src:
-                total += d
-                total_sq += d * d
-                count += 1
+        reached = frontier = 1 << index[src]
+        depth = 0
+        while True:
+            ahead = 0
+            for i in _bits(frontier):
+                ahead |= adj[i]
+            frontier = ahead & ~reached
+            if not frontier:
+                break
+            reached |= frontier
+            depth += 1
+            k = frontier.bit_count()
+            total += depth * k
+            total_sq += depth * depth * k
+            count += k
     if count == 0:
         return (0.0, 0.0)
     mean = total / count

@@ -8,8 +8,9 @@ threads; the algorithmic modules only read these types.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import NoData, UnknownNode
 
@@ -27,9 +28,22 @@ WEEK_SECONDS = 7 * SECONDS_PER_DAY
 DEFAULT_UTC_OFFSET_HOURS = -8.0
 
 
-@dataclass(frozen=True, slots=True)
-class CheckIn:
+_FLOAT_MAX = sys.float_info.max
+
+
+class _CheckInFields(NamedTuple):
+    user_id: str
+    venue_id: str
+    timestamp: int
+    lat: float
+    lon: float
+
+
+class CheckIn(_CheckInFields):
     """One timestamped visit of a user to a venue — the atomic event.
+
+    An immutable tuple of its fields, checked on every construction path
+    (``CheckIn(...)``, ``_make`` and ``_replace``).
 
     Attributes:
         user_id: Opaque user identifier.
@@ -39,19 +53,22 @@ class CheckIn:
         lon: Longitude in decimal degrees.
     """
 
-    user_id: str
-    venue_id: str
-    timestamp: int
-    lat: float
-    lon: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not math.isfinite(self.timestamp) or self.timestamp < 0:
-            raise ValueError(f"timestamp must be finite and >= 0, got {self.timestamp}")
-        if not (math.isfinite(self.lat) and abs(self.lat) <= 90.0):
-            raise ValueError(f"lat must be finite with |lat| <= 90, got {self.lat}")
-        if not (math.isfinite(self.lon) and abs(self.lon) <= 180.0):
-            raise ValueError(f"lon must be finite with |lon| <= 180, got {self.lon}")
+    def __new__(cls, user_id: str, venue_id: str, timestamp: int, lat: float, lon: float):
+        # chained comparisons are False for NaN and ±inf; the timestamp's
+        # upper bound also rejects integers too large for a float
+        if not 0 <= timestamp <= _FLOAT_MAX:
+            raise ValueError(f"timestamp must be finite and >= 0, got {timestamp}")
+        if not -90.0 <= lat <= 90.0:
+            raise ValueError(f"lat must be finite with |lat| <= 90, got {lat}")
+        if not -180.0 <= lon <= 180.0:
+            raise ValueError(f"lon must be finite with |lon| <= 180, got {lon}")
+        return tuple.__new__(cls, (user_id, venue_id, timestamp, lat, lon))
+
+    @classmethod
+    def _make(cls, iterable) -> "CheckIn":
+        return cls(*iterable)
 
 
 #: The venue weightings of the homophily measures (``homophily.WeightScheme``),

@@ -6,9 +6,19 @@ Check-in file: CSV with header ``user_id,venue_id,timestamp,lat,lon``;
 UTF-8; timestamps are integer seconds.  Edge file: CSV with header
 ``user_a,user_b``, one undirected edge per row; duplicates are ignored.
 
-Loading derives per-venue population, entropy and density, builds the
-friendship graph, and marks the active users (those with at least
-``activity_threshold`` check-ins).
+Check-in rows are validated as they are read: the timestamp is an integer
+from 0 up to the largest float, the latitude lies in [-90, 90] and the
+longitude in [-180, 180].  A row that breaks a rule, or CSV the reader
+cannot split, raises ParseError with its line number.
+
+Loading is one pass over the sorted check-ins: a single tally loop
+collects each venue's coordinates (checking that repeat visits agree),
+its visitors and their visit counts, and each user's check-in count.
+From these come the per-venue population, entropy and density, the
+friendship graph's nodes, and the active users (those with at least
+``activity_threshold`` check-ins).  ``descriptive_stats`` likewise counts
+each user's venue visits once and reads every per-user figure from that
+one tally.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -29,7 +40,6 @@ from .core import (
     entropy_nats,
     haversine_km,
     histories_by_user,
-    user_entropy,
 )
 from .errors import IntegrityError, NoData, ParseError
 
@@ -72,30 +82,27 @@ class Dataset:
 
 def load_checkins(path: str | Path) -> list[CheckIn]:
     rows: list[CheckIn] = []
+    append = rows.append
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            return rows
-        if [h.strip() for h in header] != CHECKIN_HEADER:
-            raise ParseError(f"bad check-in header {header!r}", line_no=1)
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise ParseError(f"expected 5 fields, got {len(row)}", line_no)
-            try:
-                rows.append(
-                    CheckIn(
-                        user_id=row[0],
-                        venue_id=row[1],
-                        timestamp=int(row[2]),
-                        lat=float(row[3]),
-                        lon=float(row[4]),
-                    )
-                )
-            except (ValueError, TypeError) as exc:
-                raise ParseError(str(exc), line_no) from exc
+        try:
+            header = next(reader, None)
+            if header is None:
+                return rows
+            if [h.strip() for h in header] != CHECKIN_HEADER:
+                raise ParseError(f"bad check-in header {header!r}", line_no=1)
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 5:
+                    raise ParseError(f"expected 5 fields, got {len(row)}", line_no)
+                user_id, venue_id, timestamp, lat, lon = row
+                try:
+                    append(CheckIn(user_id, venue_id, int(timestamp), float(lat), float(lon)))
+                except (ValueError, TypeError) as exc:
+                    raise ParseError(str(exc), line_no) from exc
+        except csv.Error as exc:
+            raise ParseError(str(exc), reader.line_num) from None
     return rows
 
 
@@ -103,20 +110,23 @@ def load_edges(path: str | Path) -> set[tuple[str, str]]:
     edges: set[tuple[str, str]] = set()
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            return edges
-        if [h.strip() for h in header] != EDGE_HEADER:
-            raise ParseError(f"bad edge header {header!r}", line_no=1)
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ParseError(f"expected 2 fields, got {len(row)}", line_no)
-            a, b = row[0], row[1]
-            if a == b:
-                raise ParseError(f"self-loop on {a!r}", line_no)
-            edges.add((min(a, b), max(a, b)))
+        try:
+            header = next(reader, None)
+            if header is None:
+                return edges
+            if [h.strip() for h in header] != EDGE_HEADER:
+                raise ParseError(f"bad edge header {header!r}", line_no=1)
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 2:
+                    raise ParseError(f"expected 2 fields, got {len(row)}", line_no)
+                a, b = row
+                if a == b:
+                    raise ParseError(f"self-loop on {a!r}", line_no)
+                edges.add((min(a, b), max(a, b)))
+        except csv.Error as exc:
+            raise ParseError(str(exc), reader.line_num) from None
     return edges
 
 
@@ -166,9 +176,10 @@ def _venue_density(coords: dict[str, tuple[float, float]], radius_m: float) -> d
                 if other == vid:
                     continue
                 olat, olon = coords[other]
-                # farther apart in latitude alone than the radius: no need
-                # to measure
-                if abs(olat - lat) <= angle and (
+                # farther apart in latitude alone than a bucket is tall: no
+                # need to measure (not the bare radius, since haversine_km
+                # reads 0 for latitudes too close for its squares to hold)
+                if abs(olat - lat) <= lat_step and (
                     haversine_km(lat, lon, olat, olon) * 1000.0 <= radius_m
                 ):
                     n += 1
@@ -183,50 +194,42 @@ def build_dataset(
 ) -> Dataset:
     """Assemble a Dataset from in-memory records, deriving venue statistics."""
     config = config or IngestConfig()
-    ordered = tuple(sorted(checkins, key=lambda c: (c.timestamp, c.user_id, c.venue_id)))
+    ordered = tuple(sorted(checkins, key=attrgetter("timestamp", "user_id", "venue_id")))
 
+    # one tally: venue coordinates, visitors per venue, check-ins per user
     coords: dict[str, tuple[float, float]] = {}
     visitors: dict[str, dict[str, int]] = {}
-    for ci in ordered:
-        prev = coords.get(ci.venue_id)
-        if prev is None:
-            coords[ci.venue_id] = (ci.lat, ci.lon)
-        elif (
+    per_user: dict[str, int] = {}
+    for user, vid, _, lat, lon in ordered:
+        seen = visitors.get(vid)
+        if seen is None:
+            coords[vid] = (lat, lon)
+            visitors[vid] = {user: 1}
+        else:
+            prev = coords[vid]
             # identical coordinates are 0 m apart: skip the trigonometry
-            prev != (ci.lat, ci.lon)
-            and haversine_km(prev[0], prev[1], ci.lat, ci.lon) * 1000.0 > 1.0
-        ):
-            raise IntegrityError(
-                f"venue {ci.venue_id!r} appears with conflicting coordinates"
-            )
-        visitors.setdefault(ci.venue_id, {})
-        visitors[ci.venue_id][ci.user_id] = visitors[ci.venue_id].get(ci.user_id, 0) + 1
+            if (lat, lon) != prev and haversine_km(prev[0], prev[1], lat, lon) * 1000.0 > 1.0:
+                raise IntegrityError(f"venue {vid!r} appears with conflicting coordinates")
+            seen[user] = seen.get(user, 0) + 1
+        per_user[user] = per_user.get(user, 0) + 1
 
     density = _venue_density(coords, config.density_radius_m)
     venues = {
         vid: Venue(
             venue_id=vid,
-            lat=coords[vid][0],
-            lon=coords[vid][1],
-            population=len(visitors[vid]),
-            entropy=entropy_nats(visitors[vid].values()),
+            lat=lat,
+            lon=lon,
+            population=len(seen),
+            entropy=entropy_nats(seen.values()),
             density=density[vid],
         )
-        for vid in coords
+        for (vid, (lat, lon)), seen in zip(coords.items(), visitors.values())
     }
-
-    users_seen = {ci.user_id for ci in ordered}
-    graph = SocialGraph(edges, nodes=users_seen)
-
-    per_user: dict[str, int] = {}
-    for ci in ordered:
-        per_user[ci.user_id] = per_user.get(ci.user_id, 0) + 1
     active = frozenset(u for u, n in per_user.items() if n >= config.activity_threshold)
-
     return Dataset(
         checkins=ordered,
         venues=venues,
-        graph=graph,
+        graph=SocialGraph(edges, nodes=per_user),
         active_users=active,
         config=config,
     )
@@ -284,28 +287,29 @@ def descriptive_stats(
     """
     if not dataset.checkins:
         raise NoData("empty dataset")
-    histories = dataset.histories()
     g = dataset.graph
 
-    checkins_per_user = [float(len(h)) for h in histories.values()]
-    locations_per_user = [float(len({c.venue_id for c in h})) for h in histories.values()]
-    entropies = [user_entropy(h) for h in histories.values()]
+    # each user's visits per venue, users and venues in order of first check-in
+    visits: dict[str, dict[str, int]] = {}
+    for user, vid, _, _, _ in dataset.checkins:
+        counts = visits.get(user)
+        if counts is None:
+            counts = visits[user] = {}
+        counts[vid] = counts.get(vid, 0) + 1
 
-    per_venue_checkins: dict[str, int] = {}
-    per_venue_users: dict[str, set[str]] = {}
-    for ci in dataset.checkins:
-        per_venue_checkins[ci.venue_id] = per_venue_checkins.get(ci.venue_id, 0) + 1
-        per_venue_users.setdefault(ci.venue_id, set()).add(ci.user_id)
-    checkins_per_location = [float(n) for n in per_venue_checkins.values()]
-    users_per_location = [float(len(s)) for s in per_venue_users.values()]
-    location_entropies = [v.entropy for v in dataset.venues.values()]
+    checkins_per_user = [float(sum(c.values())) for c in visits.values()]
+    locations_per_user = [float(len(c)) for c in visits.values()]
+    entropies = [entropy_nats(c.values()) for c in visits.values()]
 
+    per_venue_checkins = dict.fromkeys(dataset.venues, 0)
     pair_counts: list[float] = []
-    for h in histories.values():
-        per_venue: dict[str, int] = {}
-        for ci in h:
-            per_venue[ci.venue_id] = per_venue.get(ci.venue_id, 0) + 1
-        pair_counts.extend(float(n) for n in per_venue.values())
+    for counts in visits.values():
+        for vid, n in counts.items():
+            per_venue_checkins[vid] += n
+            pair_counts.append(float(n))
+    checkins_per_location = [float(n) for n in per_venue_checkins.values()]
+    users_per_location = [float(v.population) for v in dataset.venues.values()]
+    location_entropies = [v.entropy for v in dataset.venues.values()]
     repetition = [c - 1.0 for c in pair_counts]
 
     start, end = dataset.span()
@@ -318,7 +322,7 @@ def descriptive_stats(
         "avg_degree": (2.0 * g.edge_count / len(g.nodes)) if len(g.nodes) else 0.0,
         "n_locations": len(dataset.venues),
         "n_checkins": len(dataset.checkins),
-        "avg_checkins_per_user_day": len(dataset.checkins) / max(len(histories), 1) / days,
+        "avg_checkins_per_user_day": len(dataset.checkins) / max(len(visits), 1) / days,
         "clustering_coefficient": cohesion.clustering_coefficient(g) if len(g.nodes) else 0.0,
         "avg_checkins_per_location": _mean_std(checkins_per_location),
         "avg_checkins_per_user": _mean_std(checkins_per_user),

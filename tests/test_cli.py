@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -338,6 +339,26 @@ class TestErrorsAndConfig:
         edges.write_text("user_a,user_b\n")
         code = run(["stats", "--checkins", bad, "--edges", edges])
         assert code == 3
+
+    @pytest.mark.parametrize("kind", ["checkins", "edges", "graph"])
+    def test_malformed_csv_exits_3_with_line_number(self, tmp_path, capsys, kind):
+        # an unterminated quote that runs past the csv module's field limit
+        bad_tail = '"' + "x" * (csv.field_size_limit() + 10) + "\n"
+        checkins = tmp_path / "c.csv"
+        checkins.write_text("user_id,venue_id,timestamp,lat,lon\nu,v,1,0,0\n")
+        edges = tmp_path / "e.csv"
+        edges.write_text("user_a,user_b\nu,w\n")
+        bad = checkins if kind == "checkins" else edges
+        bad.write_text(bad.read_text() + bad_tail)
+        if kind == "graph":
+            argv = ["cohesion", "--graph", edges, "--cliques"]
+        else:
+            argv = ["stats", "--checkins", checkins, "--edges", edges]
+        assert run(argv) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        record = json.loads(err[0])
+        assert record["error"] == "ParseError" and record["message"].startswith("line 3: ")
 
     def test_unknown_flag_exit_code(self, capsys):
         assert run(["bounds", "--entropy", 1.0, "--locations", 5, "--bogus"]) == 2

@@ -8,6 +8,7 @@ code, and a failure must leave exactly one JSON error record on stderr.
 """
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -126,7 +127,11 @@ FLAG_VALUES = {
 
 GLOBAL = [[], [], ["--config", "run.conf"], ["--config=run.conf"], ["--config"]]
 
-INSERTS = ["", ",", "\n", "\r\n", '"', "x", "-", "9", "nan", "1e999", "\x00", "é", "{", "]"]
+INSERTS = [
+    "", ",", "\n", "\r\n", '"', "x", "-", "9", "nan", "1e999", "\x00", "é", "{", "]",
+    "9" * 310,  # an integer too large for a float
+    '"' + "x" * (csv.field_size_limit() + 1),  # a quoted field past the csv module's limit
+]
 
 
 @st.composite

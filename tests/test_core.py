@@ -38,6 +38,66 @@ class TestCheckIn:
         with pytest.raises(ValueError):
             make_checkin(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs,field",
+        [
+            ({"ts": 10**309}, "timestamp"),
+            ({"ts": int("9" * 309)}, "timestamp"),
+            ({"ts": math.inf}, "timestamp"),
+            ({"ts": math.nan}, "timestamp"),
+            ({"lat": math.nan}, "lat"),
+            ({"lat": -math.inf}, "lat"),
+            ({"lat": 10**400}, "lat"),
+            ({"lon": math.nan}, "lon"),
+            ({"lon": math.inf}, "lon"),
+        ],
+    )
+    def test_non_finite_and_huge_values_rejected(self, kwargs, field):
+        # an integer too large for a float is rejected, not an OverflowError
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            make_checkin(**kwargs)
+
+    def test_timestamp_below_the_largest_float_accepted(self):
+        assert make_checkin(ts=10**308).timestamp == 10**308
+
+    def test_fields_cannot_be_assigned(self):
+        ci = make_checkin()
+        for name in ("user_id", "venue_id", "timestamp", "lat", "lon"):
+            with pytest.raises(AttributeError):
+                setattr(ci, name, getattr(ci, name))
+        with pytest.raises(AttributeError):
+            ci.extra = 1
+
+    def test_positional_and_keyword_construction_agree(self):
+        by_keyword = CheckIn(user_id="u", venue_id="v", timestamp=5, lat=1.5, lon=-2.5)
+        assert CheckIn("u", "v", 5, 1.5, -2.5) == by_keyword
+        assert (by_keyword.user_id, by_keyword.venue_id, by_keyword.timestamp) == ("u", "v", 5)
+        assert (by_keyword.lat, by_keyword.lon) == (1.5, -2.5)
+
+    @pytest.mark.parametrize(
+        "change", [{"timestamp": -1}, {"lat": 90.5}, {"lon": math.nan}, {"timestamp": 10**400}]
+    )
+    def test_every_constructor_path_validates(self, change):
+        ci = make_checkin()
+        with pytest.raises(ValueError):
+            ci._replace(**change)
+        with pytest.raises(ValueError):
+            CheckIn._make({**ci._asdict(), **change}.values())
+        assert ci._replace(lat=-90.0) == make_checkin(lat=-90.0)
+        assert CheckIn._make(ci) == ci
+
+    @given(
+        user=st.text(max_size=3),
+        ts=st.integers(0, 2**40),
+        lat=st.floats(-90, 90),
+        lon=st.floats(-180, 180),
+    )
+    def test_equal_fields_mean_equal_objects_and_hashes(self, user, ts, lat, lon):
+        a = CheckIn(user, "v", ts, lat, lon)
+        b = CheckIn(user_id=user, venue_id="v", timestamp=ts, lat=lat, lon=lon)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != a._replace(venue_id="w")
+
 
 class TestSocialGraph:
     def test_basic(self):

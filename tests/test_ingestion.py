@@ -1,13 +1,29 @@
+import csv
 import math
 import random
+import tempfile
+from collections import deque
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from socmob.core import EARTH_RADIUS_KM, CheckIn, haversine_km
-from socmob.errors import IntegrityError, NoData, ParseError
+from socmob import cohesion
+from socmob.core import (
+    EARTH_RADIUS_KM,
+    CheckIn,
+    SocialGraph,
+    Venue,
+    entropy_nats,
+    haversine_km,
+    user_entropy,
+)
+from socmob.errors import IntegrityError, NoData, ParseError, UnknownNode
 from socmob.ingestion import (
+    CHECKIN_HEADER,
+    Dataset,
     IngestConfig,
+    _mean_std,
     _venue_density,
     build_dataset,
     descriptive_stats,
@@ -74,6 +90,30 @@ class TestLoading:
         cp.write_text(f"user_id,venue_id,timestamp,lat,lon\na,v1,10,1,2\na,v1,20,{lat},{lon}\n")
         with pytest.raises(ParseError) as err:
             load_checkins(cp)
+        assert err.value.line_no == 3
+
+    @pytest.mark.parametrize("digits", [309, 310, 400])
+    def test_timestamp_too_large_for_a_float_rejected_with_line_number(self, tmp_path, digits):
+        cp = tmp_path / "c.csv"
+        cp.write_text(f"user_id,venue_id,timestamp,lat,lon\na,v1,10,1,2\na,v1,{'9' * digits},1,2\n")
+        with pytest.raises(ParseError, match="^line 3: timestamp must be finite and >= 0") as err:
+            load_checkins(cp)
+        assert err.value.line_no == 3
+
+    def test_unterminated_quote_in_checkins_is_a_parse_error(self, tmp_path):
+        cp = tmp_path / "c.csv"
+        long_field = "x" * (csv.field_size_limit() + 10)
+        cp.write_text(f'user_id,venue_id,timestamp,lat,lon\na,v1,10,1,2\n"{long_field}\n')
+        with pytest.raises(ParseError, match="field larger than field limit") as err:
+            load_checkins(cp)
+        assert err.value.line_no == 3
+
+    def test_unterminated_quote_in_edges_is_a_parse_error(self, tmp_path):
+        ep = tmp_path / "e.csv"
+        long_field = "x" * (csv.field_size_limit() + 10)
+        ep.write_text(f'user_a,user_b\na,b\nb,"{long_field}\n')
+        with pytest.raises(ParseError, match="field larger than field limit") as err:
+            load_edges(ep)
         assert err.value.line_no == 3
 
     def test_bad_header(self, tmp_path):
@@ -173,6 +213,13 @@ class TestDensity:
         )
         assert self._pair_density(lat, 180.0 - half, -180.0 + half) == (1, 1)
 
+    def test_coincident_by_haversine_at_zero_radius(self):
+        # these latitudes differ, but too little for haversine_km's squares
+        # to hold: it reads 0 km, which is within a radius of 0 m
+        coords = {"a": (0.0, 0.0), "b": (1.9749397530685926e-275, 0.0)}
+        assert haversine_km(0.0, 0.0, 1.9749397530685926e-275, 0.0) == 0.0
+        assert _venue_density(coords, 0.0) == {"a": 1, "b": 1}
+
     @settings(max_examples=60, deadline=None)
     @given(
         points=st.lists(
@@ -259,3 +306,212 @@ def test_dataset_from_strings(tmp_path):
     ds = load_dataset(cp, ep, IngestConfig(activity_threshold=1))
     assert len(ds.checkins) == 5
     assert "b" in ds.graph.neighbors("a")
+
+
+# --- reference loader ---------------------------------------------------------
+#
+# A deliberately plain loader: one pass per derived quantity, every check-in
+# built by keyword, and a queue BFS per source.  The module's one-pass loader
+# must give equal results.
+
+
+def reference_load_checkins(path):
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            return rows
+        assert [h.strip() for h in header] == CHECKIN_HEADER
+        for row in reader:
+            if row:
+                rows.append(
+                    CheckIn(
+                        user_id=row[0],
+                        venue_id=row[1],
+                        timestamp=int(row[2]),
+                        lat=float(row[3]),
+                        lon=float(row[4]),
+                    )
+                )
+    return rows
+
+
+def reference_build_dataset(checkins, edges, config):
+    ordered = tuple(sorted(checkins, key=lambda c: (c.timestamp, c.user_id, c.venue_id)))
+    coords = {}
+    visitors = {}
+    for ci in ordered:
+        prev = coords.get(ci.venue_id)
+        if prev is None:
+            coords[ci.venue_id] = (ci.lat, ci.lon)
+        elif haversine_km(prev[0], prev[1], ci.lat, ci.lon) * 1000.0 > 1.0:
+            raise IntegrityError(f"venue {ci.venue_id!r} appears with conflicting coordinates")
+        visitors.setdefault(ci.venue_id, {})
+        visitors[ci.venue_id][ci.user_id] = visitors[ci.venue_id].get(ci.user_id, 0) + 1
+    density = _venue_density(coords, config.density_radius_m)
+    venues = {
+        vid: Venue(
+            venue_id=vid,
+            lat=coords[vid][0],
+            lon=coords[vid][1],
+            population=len(visitors[vid]),
+            entropy=entropy_nats(visitors[vid].values()),
+            density=density[vid],
+        )
+        for vid in coords
+    }
+    graph = SocialGraph(edges, nodes={ci.user_id for ci in ordered})
+    per_user = {}
+    for ci in ordered:
+        per_user[ci.user_id] = per_user.get(ci.user_id, 0) + 1
+    active = frozenset(u for u, n in per_user.items() if n >= config.activity_threshold)
+    return Dataset(ordered, venues, graph, active, config)
+
+
+def reference_avg_path_length(g, sample_size, seed):
+    nodes = sorted(g.nodes)
+    if not nodes or g.edge_count == 0:
+        raise UnknownNode("path length needs a graph with at least one edge")
+    rng = random.Random(seed)
+    sources = nodes if sample_size >= len(nodes) else rng.sample(nodes, sample_size)
+    total = 0.0
+    total_sq = 0.0
+    count = 0
+    for src in sources:
+        dist = {src: 0}
+        q = deque([src])
+        while q:
+            u = q.popleft()
+            for v in g.neighbors(u):
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    q.append(v)
+        for v, d in dist.items():
+            if v != src:
+                total += d
+                total_sq += d * d
+                count += 1
+    if count == 0:
+        return (0.0, 0.0)
+    mean = total / count
+    return (mean, math.sqrt(max(total_sq / count - mean * mean, 0.0)))
+
+
+def reference_descriptive_stats(dataset, path_length_samples, seed):
+    histories = dataset.histories()
+    g = dataset.graph
+    per_venue_checkins = {}
+    per_venue_users = {}
+    for ci in dataset.checkins:
+        per_venue_checkins[ci.venue_id] = per_venue_checkins.get(ci.venue_id, 0) + 1
+        per_venue_users.setdefault(ci.venue_id, set()).add(ci.user_id)
+    pair_counts = []
+    for h in histories.values():
+        per_venue = {}
+        for ci in h:
+            per_venue[ci.venue_id] = per_venue.get(ci.venue_id, 0) + 1
+        pair_counts.extend(float(n) for n in per_venue.values())
+    start, end = dataset.span()
+    days = max((end - start) / 86_400.0, 1e-9)
+    stats = {
+        "n_users": len(g.nodes),
+        "n_edges": g.edge_count,
+        "n_active_users": len(dataset.active_users),
+        "avg_degree": (2.0 * g.edge_count / len(g.nodes)) if len(g.nodes) else 0.0,
+        "n_locations": len(dataset.venues),
+        "n_checkins": len(dataset.checkins),
+        "avg_checkins_per_user_day": len(dataset.checkins) / max(len(histories), 1) / days,
+        "clustering_coefficient": cohesion.clustering_coefficient(g) if len(g.nodes) else 0.0,
+        "avg_checkins_per_location": _mean_std([float(n) for n in per_venue_checkins.values()]),
+        "avg_checkins_per_user": _mean_std([float(len(h)) for h in histories.values()]),
+        "avg_locations_per_user": _mean_std(
+            [float(len({c.venue_id for c in h})) for h in histories.values()]
+        ),
+        "avg_users_per_location": _mean_std([float(len(u)) for u in per_venue_users.values()]),
+        "avg_checkins_per_user_location": _mean_std(pair_counts),
+        "avg_degree_of_repetition": _mean_std([c - 1.0 for c in pair_counts]),
+        "avg_user_entropy": _mean_std([user_entropy(h) for h in histories.values()]),
+        "avg_location_entropy": _mean_std([v.entropy for v in dataset.venues.values()]),
+    }
+    if g.edge_count > 0:
+        mean, std = reference_avg_path_length(g, path_length_samples, seed)
+        stats["mean_avg_path_length"] = {"mean": mean, "std": std}
+    return stats
+
+
+USERS = [f"u{i}" for i in range(7)]
+VENUE_SITES = {f"v{i}": (37.70 + 0.003 * i, -122.45 + 0.002 * (i % 3)) for i in range(6)}
+
+
+@st.composite
+def corpora(draw):
+    """Unsorted check-in rows with blank lines, repeat visits and tied
+    timestamps; venue coordinates that repeat exactly, move by well under a
+    metre or (rarely) conflict; and a friendship graph that may fall apart
+    and may name users without check-ins."""
+    lines = []
+    for _ in range(draw(st.integers(0, 40))):
+        venue = draw(st.sampled_from(sorted(VENUE_SITES)))
+        lat, lon = VENUE_SITES[venue]
+        nudge = draw(st.sampled_from([0.0] * 6 + [1e-9, 2e-6, -3e-6, 1e-3]))
+        user = draw(st.sampled_from(USERS))
+        ts = draw(st.integers(0, 30)) * draw(st.sampled_from([1, 3_600, 86_400]))
+        lines.append(f"{user},{venue},{ts},{lat + nudge!r},{lon!r}")
+        if draw(st.integers(0, 7)) == 0:
+            lines.append("")
+    pairs = draw(st.lists(st.tuples(st.sampled_from(USERS), st.sampled_from(USERS)), max_size=12))
+    edges = {(min(a, b), max(a, b)) for a, b in pairs if a != b}
+    config = IngestConfig(activity_threshold=draw(st.integers(1, 5)))
+    return lines, edges, config
+
+
+class TestAgainstReferenceLoader:
+    @settings(max_examples=150, deadline=None)
+    @given(corpus=corpora(), samples=st.integers(1, 8), seed=st.integers(0, 3))
+    def test_one_pass_loader_matches_reference(self, corpus, samples, seed):
+        lines, edges, config = corpus
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "c.csv"
+            path.write_text("\n".join([",".join(CHECKIN_HEADER), *lines]) + "\n")
+            rows = load_checkins(path)
+            assert rows == reference_load_checkins(path)
+        try:
+            expected = reference_build_dataset(rows, edges, config)
+        except IntegrityError:
+            with pytest.raises(IntegrityError):
+                build_dataset(rows, edges, config)
+            return
+        ds = build_dataset(rows, edges, config)
+        assert ds.checkins == expected.checkins
+        assert list(ds.venues.items()) == list(expected.venues.items())
+        assert ds.graph.nodes == expected.graph.nodes
+        assert ds.graph.edge_count == expected.graph.edge_count
+        assert {u: ds.graph.neighbors(u) for u in ds.graph.nodes} == {
+            u: expected.graph.neighbors(u) for u in expected.graph.nodes
+        }
+        assert ds.active_users == expected.active_users
+        if rows:
+            stats = descriptive_stats(ds, path_length_samples=samples, seed=seed)
+            expected_stats = reference_descriptive_stats(expected, samples, seed)
+            assert stats == expected_stats
+            assert list(stats) == list(expected_stats)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        pairs=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), min_size=1, max_size=30),
+        samples=st.integers(1, 14),
+        seed=st.integers(0, 5),
+    )
+    def test_bitmask_path_length_matches_queue_bfs(self, n, pairs, samples, seed):
+        # isolated vertices and several components; samples below and above n
+        edges = [(f"n{a % n:02d}", f"n{b % n:02d}") for a, b in pairs if a % n != b % n]
+        g = SocialGraph(edges, nodes=[f"n{i:02d}" for i in range(n)])
+        if g.edge_count == 0:
+            with pytest.raises(UnknownNode):
+                cohesion.avg_path_length(g, samples, seed)
+            return
+        assert cohesion.avg_path_length(g, samples, seed) == reference_avg_path_length(
+            g, samples, seed
+        )
