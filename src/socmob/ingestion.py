@@ -9,7 +9,8 @@ UTF-8; timestamps are integer seconds.  Edge file: CSV with header
 Check-in rows are validated as they are read: the timestamp is an integer
 from 0 up to the largest float, the latitude lies in [-90, 90] and the
 longitude in [-180, 180].  A row that breaks a rule, or CSV the reader
-cannot split, raises ParseError with its line number.
+cannot split, raises ParseError with the line the record ends on, which
+is also the physical line for a record without a quoted newline.
 
 Loading is one pass over the sorted check-ins: a single tally loop
 collects each venue's coordinates (checking that repeat visits agree),
@@ -91,16 +92,16 @@ def load_checkins(path: str | Path) -> list[CheckIn]:
                 return rows
             if [h.strip() for h in header] != CHECKIN_HEADER:
                 raise ParseError(f"bad check-in header {header!r}", line_no=1)
-            for line_no, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row:
                     continue
                 if len(row) != 5:
-                    raise ParseError(f"expected 5 fields, got {len(row)}", line_no)
+                    raise ParseError(f"expected 5 fields, got {len(row)}", reader.line_num)
                 user_id, venue_id, timestamp, lat, lon = row
                 try:
                     append(CheckIn(user_id, venue_id, int(timestamp), float(lat), float(lon)))
                 except (ValueError, TypeError) as exc:
-                    raise ParseError(str(exc), line_no) from exc
+                    raise ParseError(str(exc), reader.line_num) from exc
         except csv.Error as exc:
             raise ParseError(str(exc), reader.line_num) from None
     return rows
@@ -116,14 +117,14 @@ def load_edges(path: str | Path) -> set[tuple[str, str]]:
                 return edges
             if [h.strip() for h in header] != EDGE_HEADER:
                 raise ParseError(f"bad edge header {header!r}", line_no=1)
-            for line_no, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row:
                     continue
                 if len(row) != 2:
-                    raise ParseError(f"expected 2 fields, got {len(row)}", line_no)
+                    raise ParseError(f"expected 2 fields, got {len(row)}", reader.line_num)
                 a, b = row
                 if a == b:
-                    raise ParseError(f"self-loop on {a!r}", line_no)
+                    raise ParseError(f"self-loop on {a!r}", reader.line_num)
                 edges.add((min(a, b), max(a, b)))
         except csv.Error as exc:
             raise ParseError(str(exc), reader.line_num) from None

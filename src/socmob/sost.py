@@ -16,6 +16,15 @@ occurrences, which is what a reader without drift sees.  Because a
 record's class depends only on its users and the target, one store can
 serve several readers that differ in the classes they admit and in
 whether counters decay: each reader skips the records of other classes.
+
+A write builds nothing: ``SocialTree.record`` queues the situation under
+its calendar cell.  The slot nodes of a cell are built when a prediction
+first reads that cell, and most cells a target's friends write to are
+never read.  The coarse levels (venue, day class, day), which only
+estimator A and whole-tree reads use, are built from all the queued
+writes when one of those reads comes.  Both builds replay the writes in
+the order they were made, so every counter, creation number and order is
+what writing each level at once would give.
 """
 
 from __future__ import annotations
@@ -221,13 +230,16 @@ class SocialTree:
     object and a node finds the record of a set by identity.  A tree has
     one writer, whose ``config`` decays the stored counters.
 
-    ``record`` writes only the slot level, which ``_cells`` indexes and
-    which ``slot_node``, ``venues_at`` and the estimator-B reads use.  The
-    venue, day-class and day levels are built by replaying the pending
-    writes in order when something first reads them: ``root``,
-    ``n_records``, ``path_nodes`` and ``normalizer_nodes``.
-    The replay leaves counters, creation numbers and child order exactly
-    as writing every level at once would have.
+    ``record`` builds no node: it queues the write under its calendar
+    cell and in ``_pending``.  A cell's slot nodes are built when a reader
+    first asks for that cell (``slots_at``, which ``slot_node``,
+    ``venues_at`` and the estimator-B reads use), by replaying the cell's
+    queue in write order.  The venue, day-class and day levels are built
+    by replaying ``_pending`` in write order, after every queued cell,
+    when something first reads them: ``root``, ``n_records``,
+    ``path_nodes`` and ``normalizer_nodes``.  Both replays leave counters,
+    creation numbers and child order exactly as writing every level at
+    once would have.
     """
 
     def __init__(self, classes: Iterable[str], config: SostConfig):
@@ -237,13 +249,18 @@ class SocialTree:
         self._n_records = 0
         # temporal labels of a cell -> {venue: its slot node in that cell}
         self._cells: dict[tuple, dict[str, _SocialNode]] = {}
-        # one object per distinct user set of the tree's records
+        # temporal labels of a cell -> the writes its slot nodes have not
+        # seen yet, four items each as in ``_pending``
+        self._queues: dict[tuple, list] = {}
+        # one object per distinct user set written, and its class: a tree
+        # has one target, so a set has one class
         self._sets: dict[frozenset[str], frozenset[str]] = {}
-        # writes the coarse levels have not seen yet, three items each:
-        # labels, slot record, timestamp
+        self._set_class: dict[frozenset[str], str] = {}
+        # writes the coarse levels have not seen yet, four items each:
+        # labels, user set, timestamp, class
         self._pending: list = []
         # the latest timestamp written; counters that decay are never
-        # reinforced at an earlier time, so the replay cannot fail
+        # reinforced at an earlier time, so the replays cannot fail
         self._latest: float = -math.inf
 
     @property
@@ -277,33 +294,61 @@ class SocialTree:
                 raise ValueError("elapsed time is negative")
         else:
             self._latest = timestamp
-        users = self._sets.setdefault(users, users)
-        venue = labels[0][1]
-        slots = self._cells.get(cell)
-        node = None if slots is None else slots.get(venue)
-        if node is None:
-            # seq -1: the creation number is given when the levels above
-            # are built
-            rec = InfluenceRecord(users, timestamp, 1.0, cls, 1, -1)
-            node = _SocialNode([rec])
-            node.users = users
-            if slots is None:
-                slots = self._cells[cell] = {}
-            slots[venue] = node
+        interned = self._sets.get(users)
+        if interned is None:
+            self._sets[users] = users
+            self._set_class[users] = cls
         else:
+            users = interned
+        write = (labels, users, timestamp, cls)
+        queue = self._queues.get(cell)
+        if queue is None:
+            queue = self._queues[cell] = []
+        queue.extend(write)
+        self._pending.extend(write)
+
+    def slots_at(self, temporal: TemporalContext) -> Mapping[str, _SocialNode]:
+        """The slot nodes of the temporal context's cell, by venue in the
+        order of their first write, built first from the cell's queue."""
+        cell = temporal_labels(temporal)
+        queue = self._queues.pop(cell, None)
+        if queue is not None:
+            self._build(cell, queue)
+        return self._cells.get(cell, NO_CHILDREN)
+
+    def _build(self, cell: tuple, queue: list) -> None:
+        """Write a cell's queued situations to its slot nodes, in the order
+        they were recorded.  Creation numbers are given by ``_catch_up``."""
+        slots = self._cells.get(cell)
+        if slots is None:
+            slots = self._cells[cell] = {}
+        config = self.config
+        steps = iter(queue)
+        for labels, users, timestamp, cls in zip(steps, steps, steps, steps):
+            venue = labels[0][1]
+            node = slots.get(venue)
+            if node is None:
+                node = slots[venue] = _SocialNode(
+                    [InfluenceRecord(users, timestamp, 1.0, cls, 1, -1)]
+                )
+                node.users = users
+                continue
             for rec in node.records:
                 if rec.users is users:
-                    rec.reinforce(timestamp, self.config)
+                    rec.reinforce(timestamp, config)
                     break
             else:
-                rec = InfluenceRecord(users, timestamp, 1.0, cls, 1, -1)
-                node.records.append(rec)
+                node.records.append(InfluenceRecord(users, timestamp, 1.0, cls, 1, -1))
                 node.users = node.users | users
-        self._pending.extend((labels, rec, timestamp))
 
     def _catch_up(self) -> None:
-        """Write the pending situations to the venue, day-class and day
-        levels, in the order they were recorded."""
+        """Build every queued cell, then write the pending situations to
+        the venue, day-class and day levels in the order they were
+        recorded, giving each new record its creation number."""
+        if self._queues:
+            for cell, queue in self._queues.items():
+                self._build(cell, queue)
+            self._queues.clear()
         if not self._pending:
             return
         pending = self._pending
@@ -311,8 +356,7 @@ class SocialTree:
         seq = self._n_records
         config = self.config
         steps = iter(pending)
-        for labels, slot_rec, timestamp in zip(steps, steps, steps):
-            users = slot_rec.users
+        for labels, users, timestamp, cls in zip(steps, steps, steps, steps):
             node = self._root
             for lab in labels[:3]:
                 child = node.children.get(lab)
@@ -320,7 +364,7 @@ class SocialTree:
                     if node.children is NO_CHILDREN:
                         node.children = {}
                     child = node.children[lab] = _SocialNode(
-                        [InfluenceRecord(users, timestamp, 1.0, slot_rec.cls, 1, seq)]
+                        [InfluenceRecord(users, timestamp, 1.0, cls, 1, seq)]
                     )
                     seq += 1
                     node = child
@@ -330,31 +374,31 @@ class SocialTree:
                         rec.reinforce(timestamp, config)
                         break
                 else:
-                    child.records.append(
-                        InfluenceRecord(users, timestamp, 1.0, slot_rec.cls, 1, seq)
-                    )
+                    child.records.append(InfluenceRecord(users, timestamp, 1.0, cls, 1, seq))
                     seq += 1
                 node = child
-            if slot_rec.seq < 0:
-                # the first write of this record, and of its slot node when
-                # the node is new
-                slot_rec.seq = seq
-                seq += 1
-                if labels[3] not in node.children:
-                    if node.children is NO_CHILDREN:
-                        node.children = {}
-                    node.children[labels[3]] = self._cells[labels[1:]][labels[0][1]]
+            slot = node.children.get(labels[3])
+            if slot is None:
+                # the first write of this slot node
+                if node.children is NO_CHILDREN:
+                    node.children = {}
+                slot = node.children[labels[3]] = self._cells[labels[1:]][labels[0][1]]
+            for rec in slot.records:
+                if rec.users is users:
+                    if rec.seq < 0:
+                        # the first write of this record
+                        rec.seq = seq
+                        seq += 1
+                    break
         self._n_records = seq
 
     def members(self, classes: Iterable[str]) -> set[str]:
-        """The users of the records of ``classes``.  Every record has a slot
-        record with its users and class, so the slot level holds them all."""
+        """The users of the records of ``classes``: the user sets written
+        under those classes."""
         out: set[str] = set()
-        for cell in self._cells.values():
-            for node in cell.values():
-                for rec in node.records:
-                    if rec.cls in classes:
-                        out |= rec.users
+        for users, cls in self._set_class.items():
+            if cls in classes:
+                out |= users
         return out
 
     def slot_node(
@@ -369,7 +413,7 @@ class SocialTree:
         evidence from other slots or days deliberately does not leak across
         cells.
         """
-        node = self._cells.get(temporal_labels(temporal), {}).get(venue)
+        node = self.slots_at(temporal).get(venue)
         if node is None or not _holds(node, classes):
             return None
         return node
@@ -393,7 +437,7 @@ class SocialTree:
     ) -> list[str]:
         """Venues holding records at this exact temporal context
         (optionally restricted to records overlapping the given users)."""
-        cell = self._cells.get(temporal_labels(temporal))
+        cell = self.slots_at(temporal)
         if not cell:
             return []
         user_set = None if users is None else frozenset(users)
@@ -650,7 +694,7 @@ class SostModel:
                 )
             return total
 
-        for q, eta in self.social._cells.get(temporal_labels(temporal), {}).items():
+        for q, eta in self.social.slots_at(temporal).items():
             if q in probs and _holds(eta, classes):
                 probs[q] = self._prob_at(eta, q, temporal, now, counter)
         if all(p <= 0.0 for p in probs.values()):

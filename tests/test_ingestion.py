@@ -116,6 +116,21 @@ class TestLoading:
             load_edges(ep)
         assert err.value.line_no == 3
 
+    def test_checkin_error_line_after_a_quoted_newline(self, tmp_path):
+        # the second record spans lines 2-3, so the bad row is physical line 4
+        cp = tmp_path / "c.csv"
+        cp.write_text('user_id,venue_id,timestamp,lat,lon\na,"v\n1",10,1,2\na,v2,soon,1,2\n')
+        with pytest.raises(ParseError, match="^line 4: ") as err:
+            load_checkins(cp)
+        assert err.value.line_no == 4
+
+    def test_edge_error_line_after_a_quoted_newline(self, tmp_path):
+        ep = tmp_path / "e.csv"
+        ep.write_text('user_a,user_b\na,"b\nc"\nx,x\n')
+        with pytest.raises(ParseError, match="^line 4: self-loop") as err:
+            load_edges(ep)
+        assert err.value.line_no == 4
+
     def test_bad_header(self, tmp_path):
         cp = tmp_path / "c.csv"
         cp.write_text("wrong,header\n")

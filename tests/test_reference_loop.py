@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from socmob import correlation
 from socmob.core import TemporalContext, WEEKEND, entropy_nats
@@ -86,6 +86,9 @@ class EagerSocialTree:
     def slot_node(self, venue, temporal, classes=None):
         nodes = self.path_nodes(venue, temporal)
         return nodes[3] if len(nodes) == 4 else None
+
+    def slots_at(self, temporal):
+        return self._cells.get(temporal_labels(temporal), {})
 
     def venues_at(self, temporal, users=None, classes=None):
         cell = self._cells.get(temporal_labels(temporal), {})
@@ -334,23 +337,34 @@ def _report(dataset, config, rows, situations, influencers, variants, class_swee
 
 
 def _logging_factors(run):
-    """``run()`` and the social factors it computed, by the target, time,
-    drift, estimator and influence classes each reading saw."""
+    """``run()`` and the social factors it computed, by the event, target,
+    time, drift, estimator and influence classes each reading saw.  Both
+    loops train one tree per check-in, after its predictions, so the
+    number of trainings so far tells apart two check-ins of one user in
+    the same second."""
     log = {}
+    trained = [0]
     original = SostModel.social_factors
+    observe = ContextTree.observe
 
     def logged(self, candidates, users_now, temporal, now, *args, **kwargs):
         factors = original(self, candidates, users_now, temporal, now, *args, **kwargs)
         classes = self.social.classes if self.class_filter is None else self.class_filter
-        key = (self.target, now, self.config.drift, self.config.estimator, classes)
+        key = (trained[0], self.target, now, self.config.drift, self.config.estimator, classes)
         log.setdefault(key, []).append(factors)
         return factors
 
+    def counted(self, *args, **kwargs):
+        trained[0] += 1
+        return observe(self, *args, **kwargs)
+
     SostModel.social_factors = logged
+    ContextTree.observe = counted
     try:
         return run(), log
     finally:
         SostModel.social_factors = original
+        ContextTree.observe = observe
 
 
 def _same(a, b):
@@ -379,6 +393,11 @@ def _same(a, b):
     ),
     class_sweep=st.booleans(),
     drift_compare=st.booleans(),
+)
+# u0000 checks in twice in one second, and the store changes in between
+@example(
+    n_users=4, days=2, seed=504, estimator="A", drift="none", classes=ALL_CLASSES,
+    class_sweep=False, drift_compare=False,
 )
 def test_evaluate_matches_reference_loop(
     n_users, days, seed, estimator, drift, classes, class_sweep, drift_compare

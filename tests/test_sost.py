@@ -781,3 +781,135 @@ class TestCompactLayout:
         tree.record(*where("A", T0), frozenset({"f1"}), T0, "III")
         tree.record(*where("B", earlier), frozenset({"f2"}), earlier, "III")
         assert tree.n_records == 8
+
+
+def _slot_records(node):
+    """A slot node's records without their creation numbers, which are
+    given when the coarse levels are built."""
+    return [rec[:-1] for rec in _records(node)]
+
+
+def _walked_members(tree, classes):
+    users = set()
+    for _, records in _walk(tree.root):
+        for rec_users, cls, *_ in records:
+            if cls in classes:
+                users.update(rec_users)
+    return users
+
+
+READS = ("slot", "venues", "factors", "members", "n_records", "path", "normalizer")
+
+
+class TestLazyCells:
+    """A store whose cells are built when first read answers every read as
+    the same store read after every write does."""
+
+    @staticmethod
+    def assert_read_matches(kind, lazy, eager, temporal, venue, users_now, classes, tie, now):
+        if kind == "slot":
+            assert list(lazy.slots_at(temporal)) == list(eager.slots_at(temporal))
+            got = lazy.slot_node(venue, temporal, classes)
+            want = eager.slot_node(venue, temporal, classes)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert _slot_records(got) == _slot_records(want)
+                assert got.users == want.users
+        elif kind == "venues":
+            for users in (None, users_now):
+                for filt in (None, classes):
+                    assert lazy.venues_at(temporal, users, filt) == (
+                        eager.venues_at(temporal, users, filt)
+                    )
+        elif kind == "factors":
+            for estimator in ("A", "B"):
+                for drift in ("none", lazy.config.drift):
+                    config = SostConfig(drift=drift, estimator=estimator, classes=classes)
+                    a, b = (SostModel("me", FRIENDS, config=config, social=s) for s in (lazy, eager))
+                    a.tie_mass = b.tie_mass = tie
+                    args = ("ABC", frozenset(users_now), temporal, now)
+                    assert a.social_factors(*args) == b.social_factors(*args)
+        elif kind == "members":
+            assert lazy.members(classes) == eager.members(classes)
+            assert lazy.members(classes) == _walked_members(eager, classes)
+        elif kind == "n_records":
+            assert lazy.n_records == eager.n_records
+        elif kind == "path":
+            assert [_records(n) for n in lazy.path_nodes(venue, temporal)] == [
+                _records(n) for n in eager.path_nodes(venue, temporal)
+            ]
+        else:
+            path = lazy.path_nodes(venue, temporal)
+            assert [_records(n) for n in lazy.normalizer_nodes(path, classes)] == [
+                _records(n)
+                for n in eager.normalizer_nodes(eager.path_nodes(venue, temporal), classes)
+            ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        stream=st.lists(
+            st.tuples(
+                # "me" alone is no situation, so every set has a class
+                situation_users.filter(lambda users: users != {"me"}),
+                st.sampled_from(["A", "B", "C"]),
+                st.sampled_from([0, 0, 600, HOUR, 2 * HOUR, 86_400, 6 * 86_400]),
+                # reads after the write: kind, and indexes of the cell,
+                # venue, active situation and class set to read
+                st.lists(
+                    st.tuples(
+                        st.sampled_from(READS),
+                        st.integers(0, 30),
+                        st.sampled_from(["A", "B", "C"]),
+                        st.sampled_from([("me", "f1"), ("f2", "f3"), CIRCLE]),
+                        st.sampled_from(CLASS_SETS),
+                    ),
+                    max_size=3,
+                ),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        drift=st.sampled_from(["none", "geometric", "exponential"]),
+        # where one write goes back in time, and by how much
+        earlier=st.tuples(st.integers(0, 29), st.sampled_from([1, HOUR, 86_400])),
+        ties=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+    )
+    def test_matches_store_read_after_every_write(self, stream, drift, earlier, ties):
+        config = SostConfig(drift=drift)
+        lazy, eager = SocialTree(ALL_CLASSES, config), SocialTree(ALL_CLASSES, config)
+        tie = dict(zip(FRIENDS, ties))
+        ts = T0
+        cells = []
+        for i, (users, venue, step, reads) in enumerate(stream):
+            if i == earlier[0] and cells:
+                when = ts - earlier[1]
+            else:
+                ts += step
+                when = ts
+            temporal = temporal_at(when)
+            # a new set object per write, as `evaluate` makes
+            args = (
+                situation_labels(venue, temporal), temporal_labels(temporal),
+                frozenset(sorted(users)), when, classify_situation(users, "me"),
+            )
+            if when < ts and drift != "none":
+                with pytest.raises(ValueError):
+                    lazy.record(*args)
+                assert lazy.members(ALL_CLASSES) == eager.members(ALL_CLASSES)
+            else:
+                lazy.record(*args)
+                eager.record(*args)
+                eager.n_records  # builds every level at once
+                cells.append(temporal)
+            for kind, cell, read_venue, users_now, classes in reads:
+                if cells:
+                    self.assert_read_matches(
+                        kind, lazy, eager, cells[cell % len(cells)], read_venue,
+                        set(users_now), classes, tie, ts + HOUR,
+                    )
+        assert lazy.n_records == eager.n_records
+        assert _walk(lazy.root) == _walk(eager.root)
+        for temporal in cells:
+            assert list(lazy.slots_at(temporal)) == list(eager.slots_at(temporal))
+        for classes in CLASS_SETS:
+            assert lazy.members(classes) == _walked_members(lazy, classes)
