@@ -364,12 +364,6 @@ def evaluate(
             rec = records[u]
             st = st_trees.get(u)
             key = ContextKey(spatial, temporal)
-            dist: dict[str, float] = {}
-            unseen = 0.0
-            if st is not None and st.alphabet:
-                dist, unseen = st.distribution(key)
-            best = argmax(dist)
-            st_pred = best[0]
 
             users_now: frozenset[str] | None = None
             last = last_event.get(u)
@@ -386,6 +380,19 @@ def evaluate(
 
             if users_now:
                 rec.situations += 1
+
+            # the social blend reads every candidate of an active event;
+            # otherwise the ranking needs the best venue and the unseen mass
+            dist: dict[str, float] = {}
+            unseen = 0.0
+            best: tuple[str | None, float] = (None, -1.0)
+            if st is not None and st.alphabet:
+                if users_now:
+                    dist, unseen = st.distribution(key)
+                    best = argmax(dist)
+                else:
+                    best, unseen = st.best(key)
+            st_pred = best[0]
 
             # one ranking per group; with an active situation, groups that
             # differ in the trend gate or the reading share what they can

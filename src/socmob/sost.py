@@ -717,7 +717,9 @@ class SostModel:
 
         ``dist``/``unseen`` must come from the individual tree at ``key``;
         the engine computes them once per event and shares them across
-        model variants, and ``best``, when given, is ``argmax(dist)``.  The
+        model variants, and ``best``, when given, is ``argmax(dist)``.
+        Without an active situation only ``best`` and ``unseen`` are read,
+        so the engine passes an empty ``dist`` with the tree's ``best``.  The
         main branch multiplies each candidate by its social factor; the
         trend model takes over when even the best candidate is no more
         likely than a never-seen venue would be (the gate threshold), that

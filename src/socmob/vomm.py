@@ -12,12 +12,20 @@ The fallback order peels the finest temporal feature first (slot, then
 day, then day class), then shortens the venue suffix by its oldest entry
 and re-applies the temporal refinement, so coarse calendar patterns
 remain available at every spatial order.
+
+The trie holds spatial contexts only: the root and one node per venue
+suffix, each with a child per next venue.  A spatial node keeps the
+counters of its calendar refinements in one flat map keyed by a small
+integer (``_calendar_keys``), so a calendar context costs a counter dict
+and no node.  Dumps still write the calendar as nested ``W``/``D``/``S``
+nodes.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -41,6 +49,9 @@ class TreeConfig:
             raise ValueError("kappa must be >= 0")
         if self.slot_hours <= 0 or 24 % self.slot_hours != 0:
             raise ValueError("slot_hours must be a positive divisor of 24")
+        # also false for NaN
+        if not -24 <= self.utc_offset_hours <= 24:
+            raise ValueError("utc_offset_hours must be a finite number within ±24")
 
     def temporal(self, timestamp: int) -> TemporalContext:
         return TemporalContext.from_timestamp(
@@ -69,6 +80,41 @@ _TEMPORAL_LABELS = tuple(
 )
 
 
+def _calendar_keys(t: TemporalContext) -> tuple[int, int, int]:
+    """The keys of the day-class, day and slot counters of a calendar
+    context in a spatial node's ``cal`` map: day class ``w`` (1 on
+    weekends), day ``2 + dow`` and cell ``9 + dow * 24 + slot``."""
+    return _CALENDAR_KEYS[t.day_of_week * 24 + t.slot]
+
+
+# the day class of each day of week, Sunday = 0: 1 on weekends
+_DAY_CLASS = (1, 0, 0, 0, 0, 0, 1)
+_CALENDAR_KEYS = tuple(
+    (_DAY_CLASS[dow], 2 + dow, 9 + dow * 24 + slot) for dow in range(7) for slot in range(24)
+)
+
+
+def _labels_key(labels: Sequence[Label], n_slots: int) -> int | None:
+    """The ``cal`` key of a calendar refinement ``(W,)``, ``(W, D)`` or
+    ``(W, D, S)``; None for one that ``observe`` never makes: another
+    nesting, a value out of range or a day under the other day class."""
+    depth = len(labels)
+    if not 1 <= depth <= 3 or tuple(kind for kind, _ in labels) != ("W", "D", "S")[:depth]:
+        return None
+    w = labels[0][1]
+    if w not in (0, 1):
+        return None
+    if depth == 1:
+        return w
+    d = labels[1][1]
+    if d not in range(7) or _DAY_CLASS[d] != w:
+        return None
+    if depth == 2:
+        return 2 + d
+    s = labels[2][1]
+    return 9 + d * 24 + s if s in range(n_slots) else None
+
+
 def escape_chain(spatial: Sequence[str], temporal: TemporalContext) -> list[Context]:
     """All fallback contexts, longest first, ending with the empty context.
 
@@ -76,26 +122,31 @@ def escape_chain(spatial: Sequence[str], temporal: TemporalContext) -> list[Cont
     them with one trie descent per spatial order (``_chain_counts``).
     """
     tl = temporal_labels(temporal)
-    chain: list[Context] = []
+    contexts: list[Context] = []
     n = len(spatial)
     for k in range(n, -1, -1):
         sp = tuple(("L", v) for v in spatial[n - k :])
         for t in (3, 2, 1, 0):
-            chain.append(sp + tl[:t])
-    return chain
+            contexts.append(sp + tl[:t])
+    return contexts
 
 
 # the child map of every trie node without children, here and in the social
-# tree: read-only, so a node gets a dict of its own on its first child
+# tree, and the calendar map of a context node no event reached: read-only,
+# so a node gets a dict of its own on its first entry
 NO_CHILDREN: Mapping = MappingProxyType({})
 
 
 class _Node:
-    __slots__ = ("children", "counts")
+    """A spatial context: ``children`` by next venue, the context's own
+    ``counts``, and the counters of its calendar refinements in ``cal``."""
+
+    __slots__ = ("children", "counts", "cal")
 
     def __init__(self):
-        self.children: Mapping[Label, _Node] = NO_CHILDREN
+        self.children: Mapping[str, _Node] = NO_CHILDREN
         self.counts: dict[str, int] = {}
+        self.cal: Mapping[int, dict[str, int]] = NO_CHILDREN
 
 
 class ContextTree:
@@ -110,7 +161,7 @@ class ContextTree:
 
     def observe(self, symbol: str, spatial: Sequence[str], temporal: TemporalContext) -> None:
         """Record one event: bump the symbol's counter at every fallback context."""
-        tl = temporal_labels(temporal)
+        keys = _calendar_keys(temporal)
         n = len(spatial)
         if n > self.config.kappa:
             spatial = spatial[n - self.config.kappa :]
@@ -118,23 +169,23 @@ class ContextTree:
         for k in range(n, -1, -1):
             node = self.root
             for v in spatial[n - k :]:
-                child = node.children.get(("L", v))
+                child = node.children.get(v)
                 if child is None:
                     if node.children is NO_CHILDREN:
                         node.children = {}
-                    child = node.children["L", v] = _Node()
+                    child = node.children[v] = _Node()
                 node = child
             counts = node.counts
             counts[symbol] = counts.get(symbol, 0) + 1
-            for lab in tl:
-                child = node.children.get(lab)
-                if child is None:
-                    if node.children is NO_CHILDREN:
-                        node.children = {}
-                    child = node.children[lab] = _Node()
-                node = child
-                counts = node.counts
-                counts[symbol] = counts.get(symbol, 0) + 1
+            cal = node.cal
+            if cal is NO_CHILDREN:
+                cal = node.cal = {}
+            for key in keys:
+                counts = cal.get(key)
+                if counts is None:
+                    cal[key] = {symbol: 1}
+                else:
+                    counts[symbol] = counts.get(symbol, 0) + 1
         self.n_events += 1
 
     def train_event(self, venue: str, timestamp: int, prev_venues: Sequence[str]) -> None:
@@ -158,9 +209,14 @@ class ContextTree:
         return self.root.counts
 
     def counts_at(self, context: Context) -> Mapping[str, int] | None:
+        """The counters of a label context; None where no event reached it
+        or where ``observe`` cannot make it."""
         node = self.root
-        for lab in context:
-            node = node.children.get(lab)
+        for i, (kind, value) in enumerate(context):
+            if kind != "L":
+                key = _labels_key(context[i:], 24 // self.config.slot_hours)
+                return None if key is None else node.cal.get(key)
+            node = node.children.get(value)
             if node is None:
                 return None
         return node.counts
@@ -184,11 +240,19 @@ class ContextTree:
         The second value is the probability any single unregistered symbol
         would receive (the explicitly reported residual escape mass).
         """
-        counters = _chain_counts(self.root, key.spatial, temporal_labels(key.temporal))
+        counters = _chain_counts(self.root, key.spatial, _calendar_keys(key.temporal))
         return _ppm(counters, self.root.counts, candidates)
+
+    def best(self, key: ContextKey) -> tuple[tuple[str, float], float]:
+        """``argmax`` of the full distribution and the mass of a never-seen
+        symbol, without building the distribution."""
+        counters = _chain_counts(self.root, key.spatial, _calendar_keys(key.temporal))
+        return _ppm_best(counters, self.root.counts)
 
     def predict(self, key: ContextKey, limit: int | None = None) -> list[tuple[str, float]]:
         """Known symbols ranked by probability, ties broken by symbol id."""
+        if limit == 1:
+            return [self.best(key)[0]]
         return _ranked(self.distribution(key)[0], limit)
 
     # -- serialization ----------------------------------------------------
@@ -203,7 +267,7 @@ class ContextTree:
                 "utc_offset_hours": self.config.utc_offset_hours,
             },
             "n_events": self.n_events,
-            "root": _encode_node(self.root),
+            "root": _encode_node(self.root, 24 // self.config.slot_hours),
         }
 
     @classmethod
@@ -222,8 +286,12 @@ class ContextTree:
         except ValueError as exc:
             raise ParseError(f"config: {exc}") from None
         tree = cls(config)
-        tree.root = _decode_node(dump_field(data, "root", dict, "context tree"))
+        root = dump_field(data, "root", dict, "context tree")
+        tree.root = _decode_node(root, None, 24 // config.slot_hours)
         tree.n_events = dump_field(data, "n_events", int, "context tree")
+        # observe adds one count to the root per event
+        if tree.n_events != sum(tree.root.counts.values()):
+            raise ParseError("context tree: n_events differs from the root's count total")
         return tree
 
     def dumps(self) -> str:
@@ -251,27 +319,80 @@ def _decode_label(text: str) -> Label:
         raise ParseError(f"bad context label {text!r}") from None
 
 
-def _encode_node(node: _Node) -> dict:
-    return {
-        "c": dict(sorted(node.counts.items())),
-        "k": {
-            _encode_label(lab): _encode_node(child)
-            for lab, child in sorted(node.children.items(), key=lambda kv: _encode_label(kv[0]))
-        },
-    }
+def _encoded(counts: Mapping[str, int], children: dict[str, dict]) -> dict:
+    """A dumped node: its counts and its children, each in key order."""
+    return {"c": dict(sorted(counts.items())), "k": dict(sorted(children.items()))}
 
 
-def _decode_node(data: dict) -> _Node:
-    node = _Node()
-    node.counts = dict(dump_field(data, "c", dict, "context tree node"))
-    if not all(isinstance(n, int) and not isinstance(n, bool) for n in node.counts.values()):
+def _encode_node(node: _Node, n_slots: int) -> dict:
+    """A spatial node as a dump writes it: its calendar counters become
+    the nested ``W:w`` → ``D:dow`` → ``S:slot`` nodes of the nested trie."""
+    children = {f"L:{v}": _encode_node(child, n_slots) for v, child in node.children.items()}
+    cal = node.cal
+    for w in (0, 1):
+        if w not in cal:
+            continue
+        days = {}
+        for d in range(7):
+            if _DAY_CLASS[d] != w or 2 + d not in cal:
+                continue
+            base = 9 + d * 24
+            slots = {
+                f"S:{s}": _encoded(cal[base + s], {})
+                for s in range(n_slots)
+                if base + s in cal
+            }
+            days[f"D:{d}"] = _encoded(cal[2 + d], slots)
+        children[f"W:{w}"] = _encoded(cal[w], days)
+    return _encoded(node.counts, children)
+
+
+def _decode_counts(data: dict, alphabet: Mapping[str, int] | None) -> dict[str, int]:
+    """A dumped node's counts: positive integers, over symbols that
+    ``alphabet`` (the root's counts) registers unless it is None."""
+    counts = dict(dump_field(data, "c", dict, "context tree node"))
+    if not all(isinstance(n, int) and not isinstance(n, bool) for n in counts.values()):
         raise ParseError("context tree node: counts must be integers")
-    if any(n < 1 for n in node.counts.values()):
+    if any(n < 1 for n in counts.values()):
         raise ParseError("context tree node: counts must be at least 1")
-    children = dump_field(data, "k", dict, "context tree node")
-    if children:
-        node.children = {_decode_label(k): _decode_node(v) for k, v in children.items()}
+    if alphabet is not None and not counts.keys() <= alphabet.keys():
+        raise ParseError("context tree node: counts a symbol the root does not")
+    return counts
+
+
+def _decode_node(data: dict, alphabet: Mapping[str, int] | None, n_slots: int) -> _Node:
+    """A dumped spatial node; its ``L:`` children stay nodes, and its
+    ``W:`` subtrees fold into its calendar counters.  ``alphabet`` is the
+    root's counts, None when ``data`` is the root."""
+    node = _Node()
+    node.counts = _decode_counts(data, alphabet)
+    if alphabet is None:
+        alphabet = node.counts
+    for text, child in dump_field(data, "k", dict, "context tree node").items():
+        label = _decode_label(text)
+        if label[0] == "L":
+            if node.children is NO_CHILDREN:
+                node.children = {}
+            node.children[label[1]] = _decode_node(child, alphabet, n_slots)
+        else:
+            _decode_calendar(node, (label,), child, alphabet, n_slots)
     return node
+
+
+def _decode_calendar(
+    node: _Node, labels: Context, data: dict, alphabet: Mapping[str, int], n_slots: int
+) -> None:
+    """Fold a dumped calendar node, reached from ``node`` by ``labels``, and
+    its descendants into ``node.cal``."""
+    key = _labels_key(labels, n_slots)
+    if key is None:
+        path = "/".join(_encode_label(lab) for lab in labels)
+        raise ParseError(f"context tree node: {path} is not a calendar context")
+    if node.cal is NO_CHILDREN:
+        node.cal = {}
+    node.cal[key] = _decode_counts(data, alphabet)
+    for text, child in dump_field(data, "k", dict, "context tree node").items():
+        _decode_calendar(node, labels + (_decode_label(text),), child, alphabet, n_slots)
 
 
 class MergedContextView:
@@ -289,23 +410,26 @@ class MergedContextView:
         self.config = self.trees[0].config
 
     @property
-    def alphabet(self) -> dict[str, int]:
-        merged: dict[str, int] = {}
-        for t in self.trees:
-            for q, c in t.root.counts.items():
-                merged[q] = merged.get(q, 0) + c
-        return merged
+    def alphabet(self) -> Mapping[str, None]:
+        """Every symbol some tree registered, in first-seen order: only the
+        symbols and their number enter the estimate, not their counts."""
+        return dict.fromkeys(chain.from_iterable(t.root.counts for t in self.trees))
+
+    def _counters(self, key: ContextKey) -> list[Mapping[str, int] | None]:
+        keys = _calendar_keys(key.temporal)
+        columns = zip(*(_chain_counts(t.root, key.spatial, keys) for t in self.trees))
+        return [_merged(column) for column in columns]
 
     def distribution(
         self, key: ContextKey, candidates: Iterable[str] | None = None
     ) -> tuple[dict[str, float], float]:
         """Per-candidate probabilities and the new-symbol mass of the tree
         trained on every trajectory of the view."""
-        tl = temporal_labels(key.temporal)
-        columns = zip(*(_chain_counts(t.root, key.spatial, tl) for t in self.trees))
-        return _ppm([_merged(column) for column in columns], self.alphabet, candidates)
+        return _ppm(self._counters(key), self.alphabet, candidates)
 
     def predict(self, key: ContextKey, limit: int | None = None) -> list[tuple[str, float]]:
+        if limit == 1:
+            return [_ppm_best(self._counters(key), self.alphabet)[0]]
         return _ranked(self.distribution(key)[0], limit)
 
 
@@ -322,42 +446,38 @@ def argmax(dist: Mapping[str, float]) -> tuple[str | None, float]:
 
 def _ranked(dist: Mapping[str, float], limit: int | None) -> list[tuple[str, float]]:
     """The symbols by falling probability, ties by symbol id; the first
-    ``limit`` of them.  The top one alone takes no sort."""
-    if limit == 1:
-        best = argmax(dist)
-        return [] if best[0] is None else [best]
+    ``limit`` of them."""
     ranked = sorted(dist.items(), key=lambda kv: (-kv[1], kv[0]))
     return ranked[:limit] if limit is not None else ranked
 
 
 def _chain_counts(
-    root: _Node, spatial: Sequence[str], tl: tuple[Label, Label, Label]
+    root: _Node, spatial: Sequence[str], keys: tuple[int, int, int]
 ) -> list[Mapping[str, int] | None]:
     """The counters of ``escape_chain(spatial, temporal)`` without its final
-    empty context, in chain order; None where the trie has no node.
+    empty context, in chain order; None where no event reached a context.
 
     One descent per spatial order reaches the node after its venues; the
-    calendar contexts of that order are its W, D and S descendants, read
-    finest first.  A missing venue node leaves its whole order None.
+    calendar contexts of that order are three keys of its ``cal`` map
+    (``_calendar_keys(temporal)``), read finest first.  A missing venue node
+    leaves its whole order None.
     """
-    w_lab, d_lab, s_lab = tl
+    w, d, s = keys
     out: list[Mapping[str, int] | None] = []
     n = len(spatial)
     for k in range(n, -1, -1):
         node = root
         for v in spatial[n - k :]:
-            node = node.children.get(("L", v))
+            node = node.children.get(v)
             if node is None:
                 break
         if node is None:
             out += (None, None, None, None)
             continue
-        w = node.children.get(w_lab)
-        d = None if w is None else w.children.get(d_lab)
-        s = None if d is None else d.children.get(s_lab)
-        out.append(None if s is None else s.counts)
-        out.append(None if d is None else d.counts)
-        out.append(None if w is None else w.counts)
+        cal = node.cal
+        out.append(cal.get(s))
+        out.append(cal.get(d))
+        out.append(cal.get(w))
         if k:
             out.append(node.counts)
     return out
@@ -382,14 +502,13 @@ def _merged(column: Iterable[Mapping[str, int] | None]) -> Mapping[str, int] | N
     return merged
 
 
-def _ppm(
-    counters: Iterable[Mapping[str, int] | None],
-    alphabet: Mapping[str, int],
-    candidates: Iterable[str] | None,
+def _escape(
+    counters: Iterable[Mapping[str, int] | None], alphabet: Mapping[str, object]
 ) -> tuple[dict[str, float], float]:
-    """Escape-blended estimate over the counters of a fallback chain, longest
-    context first; the empty context spreads what is left uniformly over
-    ``alphabet``."""
+    """The escape walk over the counters of a fallback chain, longest
+    context first: each symbol's probability at the first context that
+    counts it, and the share of the leftover mass that the empty context
+    gives each symbol of ``alphabet``, the never-seen mass."""
     if not alphabet:
         raise ModelEmpty("model has no training events")
     out: dict[str, float] = {}
@@ -403,7 +522,33 @@ def _ppm(
             if q not in out:
                 out[q] = acc * c / denom
         acc *= len(counts) / denom
-    unseen = acc / len(alphabet)
-    wanted = alphabet.keys() if candidates is None else candidates
-    dist = {q: out.get(q, unseen) for q in wanted}
+    return out, acc / len(alphabet)
+
+
+def _ppm(
+    counters: Iterable[Mapping[str, int] | None],
+    alphabet: Mapping[str, object],
+    candidates: Iterable[str] | None,
+) -> tuple[dict[str, float], float]:
+    """Escape-blended estimate over the counters of a fallback chain, longest
+    context first; the empty context spreads what is left uniformly over
+    ``alphabet``'s symbols."""
+    explicit, unseen = _escape(counters, alphabet)
+    wanted = alphabet if candidates is None else candidates
+    dist = {q: explicit.get(q, unseen) for q in wanted}
     return dist, unseen
+
+
+def _ppm_best(
+    counters: Iterable[Mapping[str, int] | None], alphabet: Mapping[str, object]
+) -> tuple[tuple[str, float], float]:
+    """``argmax`` of ``_ppm``'s distribution over ``alphabet``, and its
+    never-seen mass.  Every other symbol of the alphabet gets that mass, so
+    the smallest of them competes with the best explicit estimate."""
+    explicit, unseen = _escape(counters, alphabet)
+    best = argmax(explicit)
+    if best[1] <= unseen and len(explicit) < len(alphabet):
+        q = min(q for q in alphabet if q not in explicit)
+        if best[1] < unseen or q < best[0]:
+            best = (q, unseen)
+    return best, unseen

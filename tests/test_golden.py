@@ -1,5 +1,6 @@
-"""Golden regression test: `evaluate`'s report JSON and prediction rows stay
-byte-identical on a small fixed corpus.
+"""Golden regression test: `evaluate`'s report JSON and prediction rows, and
+`socmob train`'s context-tree dumps, stay byte-identical on a small fixed
+corpus.
 
 The corpus is ``synth``'s planted-influence generator at a fixed seed,
 committed as CSV so that a later change to the generator does not move it.
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from socmob.cli import main
 from socmob.evaluation import evaluate
 from socmob.ingestion import IngestConfig, load_dataset, save_dataset
 from socmob.sost import SostConfig
@@ -33,12 +35,21 @@ CASES = {
     "B_exponential": SostConfig(),
     "A_geometric": SostConfig(estimator="A", drift="geometric"),
 }
-# Peak bytes traced while the five variants evaluate on this corpus: 5.7 MB
-# with shared calendar contexts and situation paths and one ranking per
-# group of variants that predict alike (5.9-6.1 MB without them, 9.9 MB
-# writing every level of the social store, 14.0 MB with the dict-per-node
-# layout), plus a tenth.
-TRACED_PEAK_BOUND = 6_290_000
+# Peak bytes traced while the five variants evaluate on this corpus: 3.6 MB
+# with the calendar counters of the context tries in one flat map per
+# spatial node and argmax-only reads without an active situation (4.8 MB
+# with a trie node per calendar context and social cells built when first
+# read, 5.7 MB with shared calendar contexts and situation paths and one
+# ranking per group of variants that predict alike, 5.9-6.1 MB without
+# them, 9.9 MB writing every level of the social store, 14.0 MB with the
+# dict-per-node layout), plus a tenth.
+TRACED_PEAK_BOUND = 3_990_000
+# `socmob train` dumps, by file name: one user at the defaults, one at
+# six-hour slots
+TREES = {
+    "tree_u0002.json": ["--user", "u0002"],
+    "tree_u0015_slot6.json": ["--user", "u0015", "--slot-hours", "6"],
+}
 
 
 def _dataset():
@@ -47,6 +58,17 @@ def _dataset():
         DATA / "edges.csv",
         IngestConfig(activity_threshold=CORPUS.activity_threshold),
     )
+
+
+def _train(args: list[str], out: Path) -> int:
+    return main([
+        "train",
+        "--checkins", str(DATA / "checkins.csv"),
+        "--edges", str(DATA / "edges.csv"),
+        "--activity-threshold", str(CORPUS.activity_threshold),
+        *args,
+        "--out", str(out),
+    ])
 
 
 def _outputs(dataset, config: SostConfig) -> tuple[str, str]:
@@ -72,6 +94,13 @@ def test_report_and_predictions_unchanged(dataset, case):
     assert rows == (DATA / f"predictions_{case}.jsonl").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_train_dump_unchanged(tmp_path, name):
+    out = tmp_path / name
+    assert _train(TREES[name], out) == 0
+    assert out.read_bytes() == (DATA / name).read_bytes()
+
+
 def test_evaluate_traced_peak(dataset):
     # evaluate imports the p-value's modules on first use; load them first,
     # so that the peak counts the run alone
@@ -94,6 +123,8 @@ def _write() -> None:
         text, rows = _outputs(dataset, config)
         (DATA / f"report_{case}.json").write_text(text, encoding="utf-8")
         (DATA / f"predictions_{case}.jsonl").write_text(rows, encoding="utf-8")
+    for name, args in TREES.items():
+        _train(args, DATA / name)
 
 
 if __name__ == "__main__":

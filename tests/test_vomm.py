@@ -11,6 +11,7 @@ from socmob.vomm import (
     ContextTree,
     MergedContextView,
     TreeConfig,
+    argmax,
     escape_chain,
     temporal_labels,
 )
@@ -95,6 +96,19 @@ class PpmOracle:
     def full_context(self, spatial, temporal):
         sp = tuple(("L", v) for v in spatial[-self.config.kappa:])
         return sp + self._temporal_tuple(temporal)
+
+
+class TestConfig:
+    @pytest.mark.parametrize("offset", [-24, -12.0, 0, 5.75, 14.0, 24.0])
+    def test_offsets_within_a_day_are_accepted(self, offset):
+        assert TreeConfig(utc_offset_hours=offset).temporal(0) is not None
+
+    @pytest.mark.parametrize(
+        "offset", [float("nan"), float("inf"), -float("inf"), 1e308, 24.5, -25, 10**400]
+    )
+    def test_other_offsets_are_rejected(self, offset):
+        with pytest.raises(ValueError, match="utc_offset_hours"):
+            TreeConfig(utc_offset_hours=offset)
 
 
 class TestTraining:
@@ -311,6 +325,21 @@ class TestPredict:
             assert p1 == pytest.approx(p2, abs=1e-12)
 
 
+def _node(children=None, c=None):
+    """A dumped context node, counting one "A" unless ``c`` is given."""
+    return {"c": {"A": 1} if c is None else c, "k": children or {}}
+
+
+def _dump(root, n_events=1, utc="0", slot_hours=1):
+    """A context-tree dump with the given root; ``utc`` is the offset as
+    JSON text, so that it can be ``NaN`` or ``Infinity``."""
+    return (
+        '{"format": "socmob-context-tree", "version": 1, "config": {"kappa": 3, '
+        f'"slot_hours": {slot_hours}, "utc_offset_hours": {utc}}}, '
+        f'"n_events": {n_events}, "root": {json.dumps(root)}}}'
+    )
+
+
 class TestSerialization:
     def test_round_trip_exact(self, rng):
         symbols = [rng.choice("ABCDE") for _ in range(60)]
@@ -344,6 +373,36 @@ class TestSerialization:
             '"slot_hours": 1, "utc_offset_hours": 0}, "n_events": 1, '
             '"root": {"c": {"A": "1"}, "k": {}}}',
             "{not json",
+            # offsets the calendar cannot use
+            _dump({"c": {}, "k": {}}, n_events=0, utc="NaN"),
+            _dump({"c": {}, "k": {}}, n_events=0, utc="Infinity"),
+            _dump({"c": {}, "k": {}}, n_events=0, utc="-Infinity"),
+            _dump({"c": {}, "k": {}}, n_events=0, utc="1e308"),
+            _dump({"c": {}, "k": {}}, n_events=0, utc="-24.5"),
+            # n_events is not the root's count total
+            _dump({"c": {"A": 2}, "k": {}}, n_events=1),
+            _dump({"c": {"A": 1}, "k": {}}, n_events=0),
+            # a counter over a symbol the root does not count
+            _dump(_node({"W:0": _node(c={"B": 1})})),
+            # calendar nestings that observe never writes
+            _dump(_node({"W:2": _node()})),
+            _dump(_node({"W:-1": _node()})),
+            _dump(_node({"D:1": _node()})),
+            _dump(_node({"S:1": _node()})),
+            _dump(_node({"X:1": _node()})),
+            _dump(_node({"W:0": _node({"D:0": _node()})})),  # Sunday on a workday
+            _dump(_node({"W:1": _node({"D:3": _node()})})),  # Wednesday on a weekend
+            _dump(_node({"W:0": _node({"D:7": _node()})})),
+            _dump(_node({"W:0": _node({"S:3": _node()})})),
+            _dump(_node({"W:0": _node({"W:0": _node()})})),
+            _dump(_node({"W:0": _node({"D:1": _node({"S:24": _node()})})})),
+            _dump(_node({"W:0": _node({"D:1": _node({"S:-1": _node()})})})),
+            _dump(_node({"W:0": _node({"D:1": _node({"S:4": _node()})})}), slot_hours=6),
+            _dump(_node({"W:0": _node({"D:1": _node({"D:1": _node()})})})),
+            _dump(_node({"W:0": _node({"D:1": _node({"S:3": _node({"S:4": _node()})})})})),
+            _dump(_node({"W:0": _node({"D:1": _node({"S:3": _node({"L:A": _node()})})})})),
+            _dump(_node({"W:0": _node({"L:A": _node()})})),
+            _dump(_node({"L:A": _node({"W:1": _node({"D:2": _node()})})})),
         ],
     )
     def test_malformed_dump_is_a_parse_error(self, text):
@@ -560,3 +619,176 @@ class TestSingleDescent:
         assert got == ref
         if ref is not ModelEmpty:
             assert list(got[0]) == list(ref[0])
+
+
+# --- flat calendar layer against the nested trie ---------------------------------
+#
+# The layout before calendar counters moved into one map per spatial node: a
+# trie with one node per context, calendar labels included, dumped as it is.
+
+
+class NestedNode:
+    def __init__(self):
+        self.counts = {}
+        self.children = {}
+
+    def encode(self):
+        return {
+            "c": dict(sorted(self.counts.items())),
+            "k": {f"{kind}:{value}": child.encode() for (kind, value), child in self.children.items()},
+        }
+
+
+class NestedTrie:
+    def __init__(self, config):
+        self.config = config
+        self.root = NestedNode()
+        self.n_events = 0
+
+    def observe(self, symbol, spatial, temporal):
+        spatial = spatial[max(0, len(spatial) - self.config.kappa) :] if self.config.kappa else ()
+        for start in range(len(spatial) + 1):
+            node = self.root
+            for v in spatial[start:]:
+                node = node.children.setdefault(("L", v), NestedNode())
+            node.counts[symbol] = node.counts.get(symbol, 0) + 1
+            for lab in temporal_labels(temporal):
+                node = node.children.setdefault(lab, NestedNode())
+                node.counts[symbol] = node.counts.get(symbol, 0) + 1
+        self.n_events += 1
+
+    def counts_at(self, context):
+        node = self.root
+        for lab in context:
+            node = node.children.get(lab)
+            if node is None:
+                return None
+        return node.counts
+
+    def dumps(self):
+        return json.dumps(
+            {
+                "format": "socmob-context-tree",
+                "version": 1,
+                "config": {
+                    "kappa": self.config.kappa,
+                    "slot_hours": self.config.slot_hours,
+                    "utc_offset_hours": self.config.utc_offset_hours,
+                },
+                "n_events": self.n_events,
+                "root": self.root.encode(),
+            },
+            sort_keys=True,
+        )
+
+
+def _odd_contexts(key, n_slots):
+    """Label contexts near the key's chain that observe never makes."""
+    w, d, s = temporal_labels(key.temporal)
+    other_w = ("W", 1 - w[1])
+    return [
+        (d,), (s,), (w, s), (other_w, d), (w, d, ("S", n_slots)), (w, d, ("S", -1)),
+        (w, ("D", 7)), (("W", 2),), (w, d, s, s), (w, d, s, ("L", "A")), (w, ("L", "A")),
+        (d, s), (("L", "A"), d),
+    ]
+
+
+@st.composite
+def nested_and_flat(draw, n_trees):
+    cfg = TreeConfig(kappa=draw(st.integers(0, 3)), slot_hours=draw(st.sampled_from([1, 6, 24])))
+    pairs = []
+    for _ in range(n_trees):
+        flat, nested = ContextTree(cfg), NestedTrie(cfg)
+        events = draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(TRAINED),
+                    st.lists(st.sampled_from(TRAINED + "E"), max_size=4).map(tuple),
+                    _timestamps(),
+                ),
+                max_size=40,
+            )
+        )
+        for symbol, spatial, ts in events:
+            temporal = cfg.temporal(ts)
+            flat.observe(symbol, spatial, temporal)
+            nested.observe(symbol, spatial, temporal)
+        pairs.append((flat, nested))
+    spatial = tuple(draw(st.lists(st.sampled_from(QUERIED), max_size=cfg.kappa)))
+    key = ContextKey(spatial, cfg.temporal(draw(_timestamps())))
+    return pairs, key
+
+
+class TestFlatCalendarLayout:
+    """The flat calendar layer counts, dumps, estimates and picks its best
+    venue exactly as the nested trie does, and its dumps load back."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(nested_and_flat(1))
+    def test_matches_nested_trie(self, case):
+        ((tree, nested),), key = case
+        n_slots = 24 // tree.config.slot_hours
+        chain = escape_chain(key.spatial, key.temporal)
+        clone = ContextTree.loads(tree.dumps())
+        assert tree.dumps() == nested.dumps()
+        assert clone.dumps() == tree.dumps()
+        for context in chain + _odd_contexts(key, n_slots):
+            assert tree.counts_at(context) == nested.counts_at(context)
+            assert clone.counts_at(context) == nested.counts_at(context)
+        ref = _outcome(
+            lambda: reference_distribution(nested.counts_at, nested.root.counts, chain, None)
+        )
+        for t in (tree, clone):
+            assert _outcome(lambda: t.distribution(key)) == ref
+            best = _outcome(lambda: t.best(key))
+            ranked = _outcome(lambda: t.predict(key, limit=1))
+            if ref is ModelEmpty:
+                assert best is ModelEmpty and ranked is ModelEmpty
+            else:
+                assert best == (argmax(ref[0]), ref[1])
+                assert ranked == [argmax(ref[0])]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(nested_and_flat))
+    def test_merged_argmax_matches_nested_tries(self, case):
+        pairs, key = case
+        view = MergedContextView([tree for tree, _ in pairs])
+        nested = [ref for _, ref in pairs]
+        ref = _outcome(
+            lambda: reference_distribution(
+                lambda ctx: reference_merged_counts_at(nested, ctx),
+                reference_merged_alphabet(nested),
+                escape_chain(key.spatial, key.temporal),
+                None,
+            )
+        )
+        got = _outcome(lambda: view.predict(key, limit=1))
+        assert got == (ModelEmpty if ref is ModelEmpty else [argmax(ref[0])])
+
+    def test_argmax_ties_go_to_the_smaller_id(self):
+        cfg = TreeConfig(kappa=0)
+        tree = ContextTree(cfg)
+        temporal = cfg.temporal(T0)
+        for symbol in "DBCA":
+            tree.observe(symbol, (), temporal)
+        key = ContextKey((), temporal)
+        dist, unseen = tree.distribution(key)
+        assert len(set(dist.values())) == 1
+        assert tree.best(key) == (("A", dist["A"]), unseen)
+
+    def test_argmax_when_every_context_escapes(self):
+        # trained on one workday slot only, asked about a weekend after
+        # never-seen venues: every symbol gets the never-seen mass
+        cfg = TreeConfig(kappa=2)
+        tree = ContextTree(cfg)
+        workday = cfg.temporal(T0)
+        for symbol in "CBD":
+            tree.observe(symbol, ("C",), workday)
+        weekend = next(
+            t for t in (cfg.temporal(T0 + h * HOUR) for h in range(168)) if t.day_class == "weekend"
+        )
+        key = ContextKey(("X", "Y"), weekend)
+        dist, unseen = tree.distribution(key)
+        assert dist == {"C": 1 / 3, "B": 1 / 3, "D": 1 / 3}
+        assert tree.best(key) == (("B", 1 / 3), 1 / 3)
+        assert tree.predict(key, limit=1) == [("B", 1 / 3)]
