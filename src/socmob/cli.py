@@ -28,6 +28,7 @@ from .errors import (
     SocmobError,
     UnknownNode,
     UnsupportedScheme,
+    not_utf8,
 )
 from .vomm import ContextTree, TreeConfig
 
@@ -89,14 +90,17 @@ def _read_config_file(path: str) -> dict[str, str]:
     """
     out: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError(f"expected key = value, got {line!r}", line_no)
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip().strip('"')
+        try:
+            for line_no, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise ParseError(f"expected key = value, got {line!r}", line_no)
+                key, _, value = line.partition("=")
+                out[key.strip()] = value.strip().strip('"')
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
     return out
 
 

@@ -1,5 +1,5 @@
 """Exception hierarchy shared by all modules, and the checks that raise
-ParseError for model dumps."""
+ParseError for model dumps and input files that are not UTF-8."""
 
 import json
 
@@ -75,3 +75,17 @@ def parse_dump(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"model dump is not JSON: {exc}") from None
+
+
+def not_utf8(path) -> ParseError:
+    """The ParseError of a file that is not UTF-8, naming the line of its
+    first byte that is not.  That line is found in the raw bytes, as a
+    text reader decodes ahead of the lines it has returned."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    line = None
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+    return ParseError("not UTF-8", line)

@@ -35,9 +35,8 @@ from .sost import (
     SocialTree,
     SostConfig,
     SostModel,
-    situation_labels,
 )
-from .vomm import ContextKey, ContextTree, MergedContextView, argmax, temporal_labels
+from .vomm import ContextKey, ContextTree, MergedContextView, argmax
 
 
 # --- predictability bounds ---------------------------------------------------
@@ -331,7 +330,6 @@ def evaluate(
     recent: dict[str, list[tuple[int, str]]] = {}
     prev_venues: dict[str, list[str]] = {}
     last_event: dict[str, tuple[int, str]] = {}
-    seen_venues: dict[str, set[str]] = {}
     venue_counts: dict[str, dict[str, int]] = {}
 
     records = {u: UserRecord(user=u, degree=graph.degree(u) if u in graph else 0) for u in target_list}
@@ -350,9 +348,6 @@ def evaluate(
     active_window = max(sit_window, int(config.stay_hours * 3600))
     # the report's hour buckets are the calendar slots when slots are hours
     hourly = config.tree.slot_hours == 1
-    # one situation path per venue and calendar cell: the social stores
-    # queue the path of every write until they build their coarse levels
-    paths: dict[tuple[str, tuple], tuple[tuple, ...]] = {}
 
     for ci in dataset.checkins:
         u, v, t = ci.user_id, ci.venue_id, ci.timestamp
@@ -428,7 +423,7 @@ def evaluate(
                 hour_sost[bucket][tc.slot] += 1
             rec.scored += 1
             n_scored += 1
-            if v not in seen_venues.get(u, ()):
+            if v not in venue_counts.get(u, ()):
                 new_location_events += 1
             if record_predictions:
                 row = {"user": u, "timestamp": t, "actual": v, "st": st_pred}
@@ -450,10 +445,6 @@ def evaluate(
                         present_window.add(w)
             # each situation below adds u itself
             present_window.discard(u)
-            cell = temporal_labels(temporal)
-            labels = paths.get((v, cell))
-            if labels is None:
-                labels = paths[v, cell] = situation_labels(v, temporal)
             for tgt in interested:
                 primary = primaries[tgt]
                 if u == tgt:
@@ -464,7 +455,7 @@ def evaluate(
                     c = counts_week.get(tgt, 0)
                     if c:
                         primary.add_tie_mass(u, float(c))
-                primary.record_social_context(u, present_window, labels, cell, t)
+                primary.record_social_context(u, present_window, v, temporal, t)
 
         lst = recent.setdefault(v, [])
         lst.append((t, u))
@@ -476,7 +467,6 @@ def evaluate(
         if len(pv) > config.tree.kappa:
             pv.pop(0)
         last_event[u] = (t, v)
-        seen_venues.setdefault(u, set()).add(v)
         venue_counts.setdefault(u, {})
         venue_counts[u][v] = venue_counts[u].get(v, 0) + 1
 

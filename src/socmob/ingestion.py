@@ -9,8 +9,9 @@ UTF-8; timestamps are integer seconds.  Edge file: CSV with header
 Check-in rows are validated as they are read: the timestamp is an integer
 from 0 up to the largest float, the latitude lies in [-90, 90] and the
 longitude in [-180, 180].  A row that breaks a rule, or CSV the reader
-cannot split, raises ParseError with the line the record ends on, which
-is also the physical line for a record without a quoted newline.
+cannot split, raises ParseError with the line the record ends on (the
+physical line for a record without a quoted newline); a file that is not
+UTF-8 names the line of its first byte that is not.
 
 Loading is one pass over the sorted check-ins: a single tally loop
 collects each venue's coordinates (checking that repeat visits agree),
@@ -42,7 +43,7 @@ from .core import (
     haversine_km,
     histories_by_user,
 )
-from .errors import IntegrityError, NoData, ParseError
+from .errors import IntegrityError, NoData, ParseError, not_utf8
 
 CHECKIN_HEADER = ["user_id", "venue_id", "timestamp", "lat", "lon"]
 EDGE_HEADER = ["user_a", "user_b"]
@@ -59,7 +60,6 @@ class IngestConfig:
 
     activity_threshold: int = 50
     density_radius_m: float = 200.0
-    utc_offset_hours: float = -8.0
 
 
 @dataclass(frozen=True)
@@ -104,6 +104,8 @@ def load_checkins(path: str | Path) -> list[CheckIn]:
                     raise ParseError(str(exc), reader.line_num) from exc
         except csv.Error as exc:
             raise ParseError(str(exc), reader.line_num) from None
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
     return rows
 
 
@@ -128,6 +130,8 @@ def load_edges(path: str | Path) -> set[tuple[str, str]]:
                 edges.add((min(a, b), max(a, b)))
         except csv.Error as exc:
             raise ParseError(str(exc), reader.line_num) from None
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
     return edges
 
 

@@ -18,7 +18,7 @@ serve several readers that differ in the classes they admit and in
 whether counters decay: each reader skips the records of other classes.
 
 A write builds nothing: ``SocialTree.record`` queues the situation under
-its calendar cell.  The slot nodes of a cell are built when a prediction
+its cell key.  The slot nodes of a cell are built when a prediction
 first reads that cell, and most cells a target's friends write to are
 never read.  The coarse levels (venue, day class, day), which only
 estimator A and whole-tree reads use, are built from all the queued
@@ -42,7 +42,7 @@ from .vomm import (
     MergedContextView,
     TreeConfig,
     argmax,
-    temporal_labels,
+    calendar_keys,
 )
 
 HOUR_SECONDS = 3_600
@@ -179,18 +179,13 @@ class _SocialNode:
     __slots__ = ("children", "records", "users")
 
     def __init__(self, records: list[InfluenceRecord]):
-        self.children: Mapping[tuple, _SocialNode] = NO_CHILDREN
+        self.children: Mapping[str | int, _SocialNode] = NO_CHILDREN
         # in creation order; at most one per user set, and the tree interns
         # its user sets, so a record is found by the identity of its set
         self.records = records
         # on slot nodes, the union of all user sets recorded here: a cheap
         # prefilter for candidate discovery
         self.users: frozenset[str] | None = None
-
-
-def situation_labels(venue: str, temporal: TemporalContext) -> tuple[tuple, ...]:
-    """The path of a situation in a social tree: venue, day class, day, slot."""
-    return (("L", venue),) + temporal_labels(temporal)
 
 
 def _holds(node: _SocialNode, classes: frozenset[str] | None) -> bool:
@@ -216,22 +211,23 @@ def _in_creation_order(
 
 
 class SocialTree:
-    """Trie of venue/temporal nodes, each holding influence records.
+    """Trie of venue/calendar nodes, each holding influence records.
 
-    Records are attached along the whole path (venue node and each
-    temporal refinement), so coarser nodes aggregate the evidence of
-    their subtrees.  ``classes`` are the influence classes the tree
-    stores.  Readers that admit fewer classes pass their set as
-    ``classes`` to the query methods and see exactly what a tree storing
-    only those classes would hold, in the same order; ``None`` means no
-    filter.
+    The root's children are keyed by venue id, and the day-class, day and
+    slot nodes under a venue by the keys of ``calendar_keys``.  Records
+    are attached along the whole path (venue node and each calendar
+    refinement), so coarser nodes aggregate the evidence of their
+    subtrees.  ``classes`` are the influence classes the tree stores.
+    Readers that admit fewer classes pass their set as ``classes`` to the
+    query methods and see exactly what a tree storing only those classes
+    would hold, in the same order; ``None`` means no filter.
 
     The tree interns the user sets of its records, so equal sets are one
     object and a node finds the record of a set by identity.  A tree has
     one writer, whose ``config`` decays the stored counters.
 
-    ``record`` builds no node: it queues the write under its calendar
-    cell and in ``_pending``.  A cell's slot nodes are built when a reader
+    ``record`` builds no node: it queues the write under its cell key
+    and in ``_pending``.  A cell's slot nodes are built when a reader
     first asks for that cell (``slots_at``, which ``slot_node``,
     ``venues_at`` and the estimator-B reads use), by replaying the cell's
     queue in write order.  The venue, day-class and day levels are built
@@ -247,17 +243,17 @@ class SocialTree:
         self.classes = frozenset(classes)
         self.config = config
         self._n_records = 0
-        # temporal labels of a cell -> {venue: its slot node in that cell}
-        self._cells: dict[tuple, dict[str, _SocialNode]] = {}
-        # temporal labels of a cell -> the writes its slot nodes have not
-        # seen yet, four items each as in ``_pending``
-        self._queues: dict[tuple, list] = {}
+        # cell key -> {venue: its slot node in that cell}
+        self._cells: dict[int, dict[str, _SocialNode]] = {}
+        # cell key -> the writes its slot nodes have not seen yet, four
+        # items each: venue, user set, timestamp, class
+        self._queues: dict[int, list] = {}
         # one object per distinct user set written, and its class: a tree
         # has one target, so a set has one class
         self._sets: dict[frozenset[str], frozenset[str]] = {}
         self._set_class: dict[frozenset[str], str] = {}
-        # writes the coarse levels have not seen yet, four items each:
-        # labels, user set, timestamp, class
+        # writes the coarse levels have not seen yet, five items each:
+        # venue, calendar keys, user set, timestamp, class
         self._pending: list = []
         # the latest timestamp written; counters that decay are never
         # reinforced at an earlier time, so the replays cannot fail
@@ -276,15 +272,14 @@ class SocialTree:
 
     def record(
         self,
-        labels: tuple[tuple, ...],
-        cell: tuple[tuple, ...],
+        venue: str,
+        temporal: TemporalContext,
         users: frozenset[str],
         timestamp: int,
         cls: str,
     ) -> None:
-        """Add one occurrence of a ``cls`` situation along its path
-        ``labels`` (``situation_labels``), whose calendar labels are
-        ``cell`` (``temporal_labels``).
+        """Add one occurrence of a ``cls`` situation at ``venue`` in the
+        calendar context ``temporal``.
 
         Raises ValueError, and stores nothing, when counters decay and
         ``timestamp`` is earlier than one written before it.
@@ -300,23 +295,23 @@ class SocialTree:
             self._set_class[users] = cls
         else:
             users = interned
-        write = (labels, users, timestamp, cls)
-        queue = self._queues.get(cell)
+        keys = calendar_keys(temporal)
+        queue = self._queues.get(keys[2])
         if queue is None:
-            queue = self._queues[cell] = []
-        queue.extend(write)
-        self._pending.extend(write)
+            queue = self._queues[keys[2]] = []
+        queue.extend((venue, users, timestamp, cls))
+        self._pending.extend((venue, keys, users, timestamp, cls))
 
     def slots_at(self, temporal: TemporalContext) -> Mapping[str, _SocialNode]:
         """The slot nodes of the temporal context's cell, by venue in the
         order of their first write, built first from the cell's queue."""
-        cell = temporal_labels(temporal)
+        cell = calendar_keys(temporal)[2]
         queue = self._queues.pop(cell, None)
         if queue is not None:
             self._build(cell, queue)
         return self._cells.get(cell, NO_CHILDREN)
 
-    def _build(self, cell: tuple, queue: list) -> None:
+    def _build(self, cell: int, queue: list) -> None:
         """Write a cell's queued situations to its slot nodes, in the order
         they were recorded.  Creation numbers are given by ``_catch_up``."""
         slots = self._cells.get(cell)
@@ -324,8 +319,7 @@ class SocialTree:
             slots = self._cells[cell] = {}
         config = self.config
         steps = iter(queue)
-        for labels, users, timestamp, cls in zip(steps, steps, steps, steps):
-            venue = labels[0][1]
+        for venue, users, timestamp, cls in zip(steps, steps, steps, steps):
             node = slots.get(venue)
             if node is None:
                 node = slots[venue] = _SocialNode(
@@ -356,14 +350,14 @@ class SocialTree:
         seq = self._n_records
         config = self.config
         steps = iter(pending)
-        for labels, users, timestamp, cls in zip(steps, steps, steps, steps):
+        for venue, keys, users, timestamp, cls in zip(steps, steps, steps, steps, steps):
             node = self._root
-            for lab in labels[:3]:
-                child = node.children.get(lab)
+            for key in (venue, keys[0], keys[1]):
+                child = node.children.get(key)
                 if child is None:
                     if node.children is NO_CHILDREN:
                         node.children = {}
-                    child = node.children[lab] = _SocialNode(
+                    child = node.children[key] = _SocialNode(
                         [InfluenceRecord(users, timestamp, 1.0, cls, 1, seq)]
                     )
                     seq += 1
@@ -377,12 +371,12 @@ class SocialTree:
                     child.records.append(InfluenceRecord(users, timestamp, 1.0, cls, 1, seq))
                     seq += 1
                 node = child
-            slot = node.children.get(labels[3])
+            slot = node.children.get(keys[2])
             if slot is None:
                 # the first write of this slot node
                 if node.children is NO_CHILDREN:
                     node.children = {}
-                slot = node.children[labels[3]] = self._cells[labels[1:]][labels[0][1]]
+                slot = node.children[keys[2]] = self._cells[keys[2]][venue]
             for rec in slot.records:
                 if rec.users is users:
                     if rec.seq < 0:
@@ -422,8 +416,8 @@ class SocialTree:
         """Existing nodes along venue → day class → day → slot, root excluded."""
         nodes = []
         node = self.root
-        for lab in situation_labels(venue, temporal):
-            node = node.children.get(lab)
+        for key in (venue, *calendar_keys(temporal)):
+            node = node.children.get(key)
             if node is None:
                 break
             nodes.append(node)
@@ -591,19 +585,17 @@ class SostModel:
         self,
         user: str,
         others: Iterable[str],
-        labels: tuple[tuple, ...],
-        cell: tuple[tuple, ...],
+        venue: str,
+        temporal: TemporalContext,
         timestamp: int,
     ) -> str | None:
         """Store the situation of one check-in if the store admits its class.
 
         ``user``, the target or one of their friends, checked in with
         ``others`` present.  The situation is ``user`` and those of
-        ``others`` in the target's circle; the target alone is none.
-        ``labels`` is ``situation_labels(venue, temporal)`` of the check-in
-        and ``cell`` is ``temporal_labels(temporal)``, which every target
-        watching the check-in shares.  Returns the class that was recorded,
-        or None.
+        ``others`` in the target's circle; the target alone is none.  The
+        check-in was at ``venue``, in the calendar context ``temporal``.
+        Returns the class that was recorded, or None.
         """
         near = self._circle.intersection(others) if others else None
         if near:
@@ -618,7 +610,7 @@ class SostModel:
             cls = CLASS_III
         if cls not in self.social.classes:
             return None
-        self.social.record(labels, cell, users, timestamp, cls)
+        self.social.record(venue, temporal, users, timestamp, cls)
         return cls
 
     @property

@@ -438,12 +438,7 @@ def generate(cfg: GenConfig) -> tuple[Dataset, GroundTruth]:
                 last_cafe_visit[(gi, venue)] = (u, ts)
 
     dataset = build_dataset(
-        checkins,
-        edges,
-        IngestConfig(
-            activity_threshold=cfg.activity_threshold,
-            utc_offset_hours=cfg.utc_offset_hours,
-        ),
+        checkins, edges, IngestConfig(activity_threshold=cfg.activity_threshold)
     )
     return dataset, truth
 

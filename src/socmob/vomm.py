@@ -16,7 +16,7 @@ remain available at every spatial order.
 The trie holds spatial contexts only: the root and one node per venue
 suffix, each with a child per next venue.  A spatial node keeps the
 counters of its calendar refinements in one flat map keyed by a small
-integer (``_calendar_keys``), so a calendar context costs a counter dict
+integer (``calendar_keys``), so a calendar context costs a counter dict
 and no node.  Dumps still write the calendar as nested ``W``/``D``/``S``
 nodes.
 """
@@ -80,10 +80,10 @@ _TEMPORAL_LABELS = tuple(
 )
 
 
-def _calendar_keys(t: TemporalContext) -> tuple[int, int, int]:
-    """The keys of the day-class, day and slot counters of a calendar
-    context in a spatial node's ``cal`` map: day class ``w`` (1 on
-    weekends), day ``2 + dow`` and cell ``9 + dow * 24 + slot``."""
+def calendar_keys(t: TemporalContext) -> tuple[int, int, int]:
+    """The day-class, day and cell keys of a calendar context, ``w`` (1 on
+    weekends), ``2 + dow`` and ``9 + dow * 24 + slot``: the keys of its
+    counters in a context trie and of its nodes in a social tree."""
     return _CALENDAR_KEYS[t.day_of_week * 24 + t.slot]
 
 
@@ -161,7 +161,7 @@ class ContextTree:
 
     def observe(self, symbol: str, spatial: Sequence[str], temporal: TemporalContext) -> None:
         """Record one event: bump the symbol's counter at every fallback context."""
-        keys = _calendar_keys(temporal)
+        keys = calendar_keys(temporal)
         n = len(spatial)
         if n > self.config.kappa:
             spatial = spatial[n - self.config.kappa :]
@@ -240,13 +240,13 @@ class ContextTree:
         The second value is the probability any single unregistered symbol
         would receive (the explicitly reported residual escape mass).
         """
-        counters = _chain_counts(self.root, key.spatial, _calendar_keys(key.temporal))
+        counters = _chain_counts(self.root, key.spatial, calendar_keys(key.temporal))
         return _ppm(counters, self.root.counts, candidates)
 
     def best(self, key: ContextKey) -> tuple[tuple[str, float], float]:
         """``argmax`` of the full distribution and the mass of a never-seen
         symbol, without building the distribution."""
-        counters = _chain_counts(self.root, key.spatial, _calendar_keys(key.temporal))
+        counters = _chain_counts(self.root, key.spatial, calendar_keys(key.temporal))
         return _ppm_best(counters, self.root.counts)
 
     def predict(self, key: ContextKey, limit: int | None = None) -> list[tuple[str, float]]:
@@ -416,7 +416,7 @@ class MergedContextView:
         return dict.fromkeys(chain.from_iterable(t.root.counts for t in self.trees))
 
     def _counters(self, key: ContextKey) -> list[Mapping[str, int] | None]:
-        keys = _calendar_keys(key.temporal)
+        keys = calendar_keys(key.temporal)
         columns = zip(*(_chain_counts(t.root, key.spatial, keys) for t in self.trees))
         return [_merged(column) for column in columns]
 
@@ -459,7 +459,7 @@ def _chain_counts(
 
     One descent per spatial order reaches the node after its venues; the
     calendar contexts of that order are three keys of its ``cal`` map
-    (``_calendar_keys(temporal)``), read finest first.  A missing venue node
+    (``calendar_keys(temporal)``), read finest first.  A missing venue node
     leaves its whole order None.
     """
     w, d, s = keys

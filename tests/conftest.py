@@ -4,10 +4,17 @@ import pytest
 
 from socmob.core import CheckIn
 from socmob.synthgen import GenConfig, generate
+from socmob.vomm import calendar_keys
 
 
 def make_checkin(user="u1", venue="v1", ts=0, lat=37.75, lon=-122.45):
     return CheckIn(user_id=user, venue_id=venue, timestamp=ts, lat=lat, lon=lon)
+
+
+def situation_path(venue, temporal):
+    """The keys of a situation's nodes in a social tree: the venue, then
+    the day-class, day and cell keys of its calendar context."""
+    return (venue, *calendar_keys(temporal))
 
 
 def random_history(rng, user, venues, n, t0=1_000_000, spread=None, coords=None):

@@ -340,16 +340,21 @@ class TestErrorsAndConfig:
         code = run(["stats", "--checkins", bad, "--edges", edges])
         assert code == 3
 
+    @pytest.mark.parametrize("tail", ["long-quote", "not-utf8"])
     @pytest.mark.parametrize("kind", ["checkins", "edges", "graph"])
-    def test_malformed_csv_exits_3_with_line_number(self, tmp_path, capsys, kind):
-        # an unterminated quote that runs past the csv module's field limit
-        bad_tail = '"' + "x" * (csv.field_size_limit() + 10) + "\n"
+    def test_malformed_csv_exits_3_with_line_number(self, tmp_path, capsys, kind, tail):
+        if tail == "long-quote":
+            # an unterminated quote that runs past the csv module's field limit
+            bad_tail = b'"' + b"x" * (csv.field_size_limit() + 10) + b"\n"
+        else:
+            # a byte that no UTF-8 text holds
+            bad_tail = b"u,\xff\n"
         checkins = tmp_path / "c.csv"
         checkins.write_text("user_id,venue_id,timestamp,lat,lon\nu,v,1,0,0\n")
         edges = tmp_path / "e.csv"
         edges.write_text("user_a,user_b\nu,w\n")
         bad = checkins if kind == "checkins" else edges
-        bad.write_text(bad.read_text() + bad_tail)
+        bad.write_bytes(bad.read_bytes() + bad_tail)
         if kind == "graph":
             argv = ["cohesion", "--graph", edges, "--cliques"]
         else:
@@ -416,10 +421,17 @@ class TestErrorsAndConfig:
         assert run(["--config", conf, "bounds"]) == 0
         assert by_equals == json.loads(capsys.readouterr().out)
 
-    def test_config_file_parse_error(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text", [b"not a valid line\n", b"# \xe9t\xe9\n"], ids=["no-equals", "not-utf8"]
+    )
+    def test_config_file_parse_error(self, tmp_path, capsys, text):
         conf = tmp_path / "run.conf"
-        conf.write_text("not a valid line\n")
+        conf.write_bytes(b"entropy = 1\n" + text)
         assert run(["--config", conf, "bounds", "--entropy", 1, "--locations", 5]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        record = json.loads(err[0])
+        assert record["error"] == "ParseError" and record["message"].startswith("line 2: ")
 
     @pytest.mark.parametrize("form", ["separate", "equals"])
     def test_abbreviated_config_is_a_usage_error(self, tmp_path, capsys, form):

@@ -14,7 +14,6 @@ from socmob.core import (
     user_entropy,
 )
 from socmob.errors import NoData, UnknownNode
-from socmob.sost import situation_labels
 from socmob.vomm import TreeConfig, temporal_labels
 
 from conftest import make_checkin
@@ -183,7 +182,6 @@ class TestSharedCalendarContexts:
         labels = (("W", 1 if dow in (0, 6) else 0), ("D", dow), ("S", slot))
         assert temporal_labels(got) == labels
         assert temporal_labels(fresh) is temporal_labels(got)
-        assert situation_labels("v1", fresh) == (("L", "v1"),) + labels
         # another timestamp in the same local slot of the same weekday, or
         # exactly a week later, gets the same objects
         other = timestamp + later

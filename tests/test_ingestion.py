@@ -131,6 +131,23 @@ class TestLoading:
             load_edges(ep)
         assert err.value.line_no == 4
 
+    @pytest.mark.parametrize("kind", ["checkins", "edges"])
+    def test_not_utf8_names_the_line_of_the_first_bad_byte(self, tmp_path, kind):
+        # far past the first chunk the text layer decodes, and well ahead of
+        # the end of the file
+        if kind == "checkins":
+            header, rows = "user_id,venue_id,timestamp,lat,lon\n", "u,v,1,0,0\n" * 2000
+            load = load_checkins
+        else:
+            header, rows = "user_a,user_b\n", "u,w\n" * 5000
+            load = load_edges
+        path = tmp_path / "bad.csv"
+        path.write_bytes((header + rows).encode() + b"u,\xe9\n" + rows.encode())
+        line = rows.count("\n") + 2
+        with pytest.raises(ParseError, match=f"^line {line}: not UTF-8") as err:
+            load(path)
+        assert err.value.line_no == line
+
     def test_bad_header(self, tmp_path):
         cp = tmp_path / "c.csv"
         cp.write_text("wrong,header\n")

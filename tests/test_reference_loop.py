@@ -31,10 +31,18 @@ from socmob.sost import (
     SostConfig,
     SostModel,
     classify_situation,
-    situation_labels,
 )
 from socmob.synthgen import GenConfig, generate
-from socmob.vomm import ContextKey, ContextTree, MergedContextView, escape_chain, temporal_labels
+from socmob.vomm import (
+    ContextKey,
+    ContextTree,
+    MergedContextView,
+    TreeConfig,
+    calendar_keys,
+    escape_chain,
+)
+
+from conftest import situation_path
 
 
 class _Node:
@@ -58,12 +66,12 @@ class EagerSocialTree:
         self._cells = {}
 
     def add(self, venue, temporal, users, timestamp, config, cls):
-        labels = situation_labels(venue, temporal)
+        path = situation_path(venue, temporal)
         node = self.root
-        for lab in labels:
-            child = node.children.get(lab)
+        for key in path:
+            child = node.children.get(key)
             if child is None:
-                child = node.children[lab] = _Node()
+                child = node.children[key] = _Node()
             for rec in child.records:
                 if rec.users == users:
                     rec.reinforce(timestamp, config)
@@ -72,12 +80,12 @@ class EagerSocialTree:
                 child.records.append(InfluenceRecord(users, timestamp, 1.0, cls, 1, 0))
             node = child
         node.users = node.users | users
-        self._cells.setdefault(labels[1:], {})[venue] = node
+        self._cells.setdefault(path[3], {})[venue] = node
 
     def path_nodes(self, venue, temporal):
         nodes, node = [], self.root
-        for lab in situation_labels(venue, temporal):
-            node = node.children.get(lab)
+        for key in situation_path(venue, temporal):
+            node = node.children.get(key)
             if node is None:
                 break
             nodes.append(node)
@@ -88,10 +96,10 @@ class EagerSocialTree:
         return nodes[3] if len(nodes) == 4 else None
 
     def slots_at(self, temporal):
-        return self._cells.get(temporal_labels(temporal), {})
+        return self._cells.get(calendar_keys(temporal)[2], {})
 
     def venues_at(self, temporal, users=None, classes=None):
-        cell = self._cells.get(temporal_labels(temporal), {})
+        cell = self._cells.get(calendar_keys(temporal)[2], {})
         return sorted(
             venue for venue, node in cell.items()
             if users is None or not node.users.isdisjoint(users)
@@ -393,20 +401,28 @@ def _same(a, b):
     ),
     class_sweep=st.booleans(),
     drift_compare=st.booleans(),
+    # coarse slots put several hours in one social cell, and set the
+    # report's hour buckets apart from the calendar slots
+    kappa=st.sampled_from([0, 1, 3]),
+    slot_hours=st.sampled_from([1, 6, 24]),
 )
 # u0000 checks in twice in one second, and the store changes in between
 @example(
     n_users=4, days=2, seed=504, estimator="A", drift="none", classes=ALL_CLASSES,
-    class_sweep=False, drift_compare=False,
+    class_sweep=False, drift_compare=False, kappa=3, slot_hours=1,
 )
 def test_evaluate_matches_reference_loop(
-    n_users, days, seed, estimator, drift, classes, class_sweep, drift_compare
+    n_users, days, seed, estimator, drift, classes, class_sweep, drift_compare, kappa,
+    slot_hours,
 ):
     dataset, _ = generate(GenConfig(
         n_users=n_users, days=days, seed=seed, group_size=4,
         p_cositu=0.95, p_meetup=1.0, p_follow=0.5, activity_threshold=3,
     ))
-    config = SostConfig(estimator=estimator, drift=drift, classes=classes)
+    config = SostConfig(
+        estimator=estimator, drift=drift, classes=classes,
+        tree=TreeConfig(kappa=kappa, slot_hours=slot_hours),
+    )
     try:
         (want, want_rows), want_factors = _logging_factors(
             lambda: reference_run(dataset, config, class_sweep, drift_compare)

@@ -15,9 +15,10 @@ from socmob.sost import (
     classify_situation,
     drift_factor,
     influence_jaccard,
-    situation_labels,
 )
-from socmob.vomm import ContextKey, ContextTree, MergedContextView, TreeConfig, temporal_labels
+from socmob.vomm import ContextKey, ContextTree, MergedContextView, TreeConfig, calendar_keys
+
+from conftest import situation_path
 
 HOUR = 3600
 T0 = 1_000_000
@@ -32,10 +33,8 @@ def record(model, users, venue, ts):
     """Store the situation ``users`` at ``venue`` and ``ts`` as `evaluate`
     does: the check-in of one of them with the others present."""
     user = min(users)
-    temporal = temporal_at(ts, model.config.tree)
     return model.record_social_context(
-        user, frozenset(users) - {user}, situation_labels(venue, temporal),
-        temporal_labels(temporal), ts,
+        user, frozenset(users) - {user}, venue, temporal_at(ts, model.config.tree), ts
     )
 
 
@@ -610,12 +609,13 @@ class DictSocialTree:
         self.n_records = 0
         self.cells = {}
 
-    def record(self, labels, users, timestamp, config, cls):
+    def record(self, venue, temporal, users, timestamp, config, cls):
+        path = situation_path(venue, temporal)
         node = self.root
-        for lab in labels:
-            child = node.children.get(lab)
+        for key in path:
+            child = node.children.get(key)
             if child is None:
-                child = node.children[lab] = _DictNode()
+                child = node.children[key] = _DictNode()
             rec = child.records.get(users)
             if rec is None:
                 child.records[users] = InfluenceRecord(users, timestamp, 1.0, cls, 1, self.n_records)
@@ -625,15 +625,15 @@ class DictSocialTree:
             node = child
         if node.users is None:
             node.users = set(users)
-            self.cells.setdefault(labels[1:], {})[labels[0][1]] = node
+            self.cells.setdefault(path[3], {})[venue] = node
         elif rec is None:
             node.users |= users
 
     def path_nodes(self, venue, temporal):
         nodes = []
         node = self.root
-        for lab in situation_labels(venue, temporal):
-            node = node.children.get(lab)
+        for key in situation_path(venue, temporal):
+            node = node.children.get(key)
             if node is None:
                 break
             nodes.append(node)
@@ -649,7 +649,7 @@ class DictSocialTree:
         return None
 
     def venues_at(self, temporal, users=None, classes=None):
-        cell = self.cells.get(temporal_labels(temporal))
+        cell = self.cells.get(calendar_keys(temporal)[2])
         if not cell:
             return []
         user_set = None if users is None else frozenset(users)
@@ -691,10 +691,10 @@ def _records(node):
 
 def _walk(node, path=()):
     """Every node under ``node``, depth first in child order: its path of
-    labels and its records."""
+    keys and its records."""
     out = [(path, _records(node))]
-    for lab, child in node.children.items():
-        out += _walk(child, path + (lab,))
+    for key, child in node.children.items():
+        out += _walk(child, path + (key,))
     return out
 
 
@@ -755,19 +755,18 @@ class TestCompactLayout:
         steps = []
         for users, cls, venue, step in stream:
             ts += step
-            steps.append((situation_labels(venue, temporal_at(ts)), users, ts, cls))
-        cells = {temporal_at(ts) for _, _, ts, _ in steps}
-        for i, (labels, users, ts, cls) in enumerate(steps):
-            tree.record(labels, temporal_labels(temporal_at(ts)), frozenset(users), ts, cls)
-            ref.record(labels, frozenset(users), ts, config, cls)
+            steps.append((venue, temporal_at(ts), users, ts, cls))
+        cells = {temporal for _, temporal, *_ in steps}
+        for i, (venue, temporal, users, ts, cls) in enumerate(steps):
+            tree.record(venue, temporal, frozenset(users), ts, cls)
+            ref.record(venue, temporal, frozenset(users), ts, config, cls)
             if i in read_after:
                 self.assert_reads_match(tree, ref, cells)
         self.assert_reads_match(tree, ref, cells)
 
     def test_earlier_timestamp_with_drift_is_refused(self):
         def where(venue, ts):
-            temporal = temporal_at(ts)
-            return situation_labels(venue, temporal), temporal_labels(temporal)
+            return venue, temporal_at(ts)
 
         tree = SocialTree(ALL_CLASSES, SostConfig(drift="geometric"))
         tree.record(*where("A", T0), frozenset({"f1"}), T0, "III")
@@ -889,8 +888,7 @@ class TestLazyCells:
             temporal = temporal_at(when)
             # a new set object per write, as `evaluate` makes
             args = (
-                situation_labels(venue, temporal), temporal_labels(temporal),
-                frozenset(sorted(users)), when, classify_situation(users, "me"),
+                venue, temporal, frozenset(sorted(users)), when, classify_situation(users, "me"),
             )
             if when < ts and drift != "none":
                 with pytest.raises(ValueError):
