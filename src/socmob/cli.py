@@ -27,7 +27,6 @@ from .errors import (
     ParseError,
     SocmobError,
     UnknownNode,
-    UnsupportedScheme,
     not_utf8,
 )
 from .vomm import ContextTree, TreeConfig
@@ -49,7 +48,6 @@ _ERROR_CODES = (
             DegenerateInput,
             ModelEmpty,
             ConfigError,
-            UnsupportedScheme,
             ValueError,
         ),
         EXIT_NUMERIC,

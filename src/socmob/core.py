@@ -73,7 +73,7 @@ class CheckIn(_CheckInFields):
 
 #: The venue weightings of the homophily measures (``homophily.WeightScheme``),
 #: kept here so that naming them does not load the numeric stack.
-WEIGHT_KINDS = ("none", "density", "distance_from_home", "population", "entropy", "extra_role")
+WEIGHT_KINDS = ("none", "density", "distance_from_home", "population", "entropy")
 
 
 @dataclass(frozen=True, slots=True)
@@ -250,21 +250,24 @@ def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
 #: Meters of latitude per degree; used to size the home-detection grid.
 _METERS_PER_DEG_LAT = 111_320.0
 
+#: Side of a home-detection grid cell, in meters.
+HOME_CELL_M = 500.0
 
-def home_location(history: Sequence[CheckIn], cell_m: float = 500.0) -> tuple[float, float]:
+
+def home_location(history: Sequence[CheckIn]) -> tuple[float, float]:
     """Estimate a user's home as the centroid of their densest grid cell.
 
-    The bounding grid uses cells of roughly ``cell_m`` meters.  Ties between
-    equally dense cells resolve to the lexicographically smallest
+    The bounding grid uses cells of roughly ``HOME_CELL_M`` meters.  Ties
+    between equally dense cells resolve to the lexicographically smallest
     (row, column) index, so the result is deterministic and independent of
     the input order.
     """
     if not history:
         raise NoData("empty history")
-    lat_step = cell_m / _METERS_PER_DEG_LAT
+    lat_step = HOME_CELL_M / _METERS_PER_DEG_LAT
     ref_lat = sum(ci.lat for ci in history) / len(history)
     lon_scale = max(math.cos(math.radians(ref_lat)), 1e-6)
-    lon_step = cell_m / (_METERS_PER_DEG_LAT * lon_scale)
+    lon_step = HOME_CELL_M / (_METERS_PER_DEG_LAT * lon_scale)
 
     cells: dict[tuple[int, int], list[CheckIn]] = {}
     for ci in history:

@@ -40,6 +40,8 @@ def sample_pairs(
     """
     if source not in SOURCES:
         raise ValueError(f"unknown source {source!r}")
+    if n < 0:
+        raise ValueError(f"the sample size must be >= 0, got {n}")
     rng = random.Random(seed)
     pairs: list[tuple[str, str]] = []
     if source == "two_plex":

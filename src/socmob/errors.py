@@ -48,10 +48,6 @@ class ConfigError(SocmobError):
     """A configuration parameter is out of its valid range."""
 
 
-class UnsupportedScheme(SocmobError):
-    """A weighting scheme that is named but deliberately not implemented."""
-
-
 def dump_field(data, key: str, kind: type | tuple[type, ...], where: str):
     """``data[key]`` of a model dump, checked to be a ``kind``.
 

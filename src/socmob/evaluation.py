@@ -21,7 +21,7 @@ import gc
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import correlation
 from .core import TemporalContext, WEEKEND, entropy_nats
@@ -31,6 +31,8 @@ from .sost import (
     CLASS_I,
     CLASS_II,
     CLASS_III,
+    SITUATION_WINDOW,
+    TIE_WINDOW,
     EventMemo,
     SocialTree,
     SostConfig,
@@ -73,6 +75,8 @@ def fano_predictability(entropy: float, n_locations: float) -> tuple[float, bool
     side decreases from ln N at pi = 1/N to 0 at pi = 1, so a unique root
     exists whenever H <= ln N.  Larger entropies clamp to 1/N with a flag.
     """
+    if not (math.isfinite(entropy) and math.isfinite(n_locations)):
+        raise ValueError(f"entropy and n_locations must be finite, got {entropy}, {n_locations}")
     if n_locations < 2:
         raise ValueError("need at least two locations")
     if entropy < 0:
@@ -106,17 +110,17 @@ def predictability_bounds(
     The upper bound solves f + x(1 - f) = v for the average visit count x
     of repeated locations; one visit per location is consumed learning it,
     and the achievable share (x - 1)/x is kept at two decimals, matching
-    the convention in which such bounds are quoted.
+    the convention in which such bounds are quoted.  Non-finite inputs
+    raise ValueError.
     """
     lower = math.exp(-entropy)
     upper: float | None = None
-    if new_location_fraction is not None and avg_visits is not None:
-        f = new_location_fraction
-        v = avg_visits
-        if not 0.0 <= f <= 1.0:
-            raise ValueError("new_location_fraction must be in [0, 1]")
-        if v <= 1.0:
-            raise ValueError("avg_visits must exceed 1")
+    f, v = new_location_fraction, avg_visits
+    if f is not None and not 0.0 <= f <= 1.0:
+        raise ValueError("new_location_fraction must be in [0, 1]")
+    if v is not None and not 1.0 < v < math.inf:
+        raise ValueError(f"avg_visits must be finite and exceed 1, got {v}")
+    if f is not None and v is not None:
         if f >= 1.0:
             upper = 0.0
         else:
@@ -251,22 +255,19 @@ def evaluate(
     dataset: Dataset,
     config: SostConfig | None = None,
     *,
-    targets: Iterable[str] | None = None,
     class_sweep: bool = False,
     drift_compare: bool = False,
     record_predictions: bool = False,
 ) -> EvalReport:
     """Run the prequential protocol and assemble the report.
 
-    ``targets`` defaults to the dataset's active users.  With
-    ``class_sweep`` three synchronous-only variants (cumulative influence
-    classes) are scored alongside; ``drift_compare`` adds the primary
-    configuration with drift disabled.
+    The targets are the dataset's active users.  With ``class_sweep``
+    three synchronous-only variants (cumulative influence classes) are
+    scored alongside; ``drift_compare`` adds the primary configuration
+    with drift disabled.
     """
     config = config or SostConfig()
-    if targets is None:
-        targets = dataset.active_users
-    target_list = sorted(targets)
+    target_list = sorted(dataset.active_users)
     if not target_list:
         raise NoData("no active users to evaluate")
     target_set = set(target_list)
@@ -341,8 +342,8 @@ def evaluate(
     new_location_events = 0
     predictions: list[dict] = []
 
-    sit_window = config.situation_window
-    tie_window = config.tie_window
+    sit_window = SITUATION_WINDOW
+    tie_window = TIE_WINDOW
     # a situation stays "active" for about one stay at the venue, even when
     # the co-present check-ins happened within the shorter situation window
     active_window = max(sit_window, int(config.stay_hours * 3600))

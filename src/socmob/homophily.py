@@ -32,7 +32,7 @@ from .core import (
     home_location,
     haversine_km,
 )
-from .errors import InsufficientSpan, NoData, UnsupportedScheme
+from .errors import InsufficientSpan, NoData
 
 HOUR_SECONDS = 3_600
 
@@ -44,12 +44,9 @@ class WeightScheme:
     ``density`` favors venues in dense areas, ``distance_from_home`` scales
     with the distance between the two users' homes, ``population`` and
     ``entropy`` damp busy public venues.  All weights are strictly positive.
-    ``extra_role`` is a named placeholder without a defined formula and
-    always raises UnsupportedScheme.
     """
 
     kind: str = "none"
-    home_cell_m: float = 500.0
 
     def __post_init__(self):
         if self.kind not in WEIGHT_KINDS:
@@ -137,11 +134,10 @@ class MobilityIndex:
         """``weekly_visit_prob`` of the history over ``span``."""
         return self._memoized(("weekly", span), lambda: weekly_visit_prob(self.history, span))
 
-    def home(self, cell_m: float) -> tuple[float, float]:
-        """``home_location`` of the history on a grid of ``cell_m`` meters."""
-        return self._memoized(
-            ("home", cell_m), lambda: home_location(self.history, cell_m=cell_m)
-        )
+    @cached_property
+    def home(self) -> tuple[float, float]:
+        """``home_location`` of the history."""
+        return home_location(self.history)
 
     def weights(self, scheme: WeightScheme, venues, wf: Callable[[str], float]) -> "_Weights":
         """Venue weights ``wf`` of ``scheme``, kept per (scheme, venue table)
@@ -208,13 +204,8 @@ def _weight_fn(
     kind = scheme.kind
     if kind == "none":
         return lambda v: 1.0
-    if kind == "extra_role":
-        raise UnsupportedScheme(
-            "the 'extra_role' weighting is a named placeholder with no defined formula"
-        )
     if kind == "distance_from_home":
-        hi = a.home(scheme.home_cell_m)
-        hj = b.home(scheme.home_cell_m)
+        hi, hj = a.home, b.home
         w = math.log(2.0 + haversine_km(hi[0], hi[1], hj[0], hj[1]))
         return lambda v: w
     if venues is None:

@@ -49,17 +49,19 @@ CHECKIN_HEADER = ["user_id", "venue_id", "timestamp", "lat", "lon"]
 EDGE_HEADER = ["user_a", "user_b"]
 
 
+#: Radius, in meters, of the neighbourhood that a venue's density counts.
+DENSITY_RADIUS_M = 200.0
+
+
 @dataclass(frozen=True)
 class IngestConfig:
     """Knobs for dataset derivation.
 
-    ``density_radius_m`` bounds the neighborhood used for venue density;
     ``activity_threshold`` is the minimum check-in count for a user to be
     considered active.
     """
 
     activity_threshold: int = 50
-    density_radius_m: float = 200.0
 
 
 @dataclass(frozen=True)
@@ -218,7 +220,7 @@ def build_dataset(
             seen[user] = seen.get(user, 0) + 1
         per_user[user] = per_user.get(user, 0) + 1
 
-    density = _venue_density(coords, config.density_radius_m)
+    density = _venue_density(coords, DENSITY_RADIUS_M)
     venues = {
         vid: Venue(
             venue_id=vid,

@@ -47,6 +47,11 @@ from .vomm import (
 
 HOUR_SECONDS = 3_600
 
+#: A social situation is co-presence at one venue within this many seconds.
+SITUATION_WINDOW = HOUR_SECONDS
+#: Tie strength counts co-locations over this many preceding seconds.
+TIE_WINDOW = WEEK_SECONDS
+
 CLASS_I = "I"
 CLASS_II = "II"
 CLASS_III = "III"
@@ -65,8 +70,6 @@ class SostConfig:
     estimator: str = "B"
     classes: frozenset[str] = ALL_CLASSES
     stay_hours: float = 3.0
-    situation_window: int = HOUR_SECONDS
-    tie_window: int = WEEK_SECONDS
     enable_trend: bool = True
     tree: TreeConfig = field(default_factory=TreeConfig)
 

@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .core import CheckIn
+from .core import DEFAULT_UTC_OFFSET_HOURS, CheckIn
 from .errors import ConfigError
 from .ingestion import Dataset, IngestConfig, build_dataset, save_checkins, save_edges
 
@@ -41,6 +41,18 @@ _BASE_DAY = 18_001
 #: placed so that a session never runs into the next routine check-in.
 _SESSION_SLOTS = ((1, 20), (2, 20), (3, 20), (4, 20), (5, 20), (0, 13), (6, 13))
 
+#: Random background friendships drawn per user.
+_EXTRA_EDGES_PER_USER = 2
+#: Exclusive routine venues per user: home, habit, two lunch spots and two
+#: evening spots.
+_VENUES_PER_USER = 6
+_ROUTINE_RATE = 0.65  # probability each routine slot fires
+_AFTERNOON_RATE = 0.5  # workday habit-venue visits
+_EXPLORE_RATE = 0.35  # expected exploration visits per day
+_ATTEND_RATE = 0.95  # probability a crew member comes to an outing
+#: Weeks each group keeps one café before adopting the next.
+_CAFE_BLOCK_WEEKS = 3
+
 
 @dataclass(frozen=True)
 class GenConfig:
@@ -49,37 +61,16 @@ class GenConfig:
     days: int = 60
     seed: int = 1
 
-    group_size: int = 8
-    n_groups: int | None = None  # default: cover the whole population
-    rewire_rate: float = 0.0
-    extra_edges_per_user: int = 2
-
-    venues_per_user: int = 6
-    routine_rate: float = 0.65  # probability each routine slot fires
-    afternoon_rate: float = 0.5  # workday habit-venue visits
-    explore_rate: float = 0.35  # expected exploration visits per day
+    group_size: int = 8  # groups cover the whole population
 
     p_cositu: float = 0.0  # per outing slot per week
-    sessions_per_week: int = 7
-    attend_rate: float = 0.95
-
     p_meetup: float = 0.0  # per buddy pair per week
     p_follow: float = 0.0  # per member per weekend day: café visit
-    cafe_block_weeks: int = 3
 
-    utc_offset_hours: float = -8.0
     activity_threshold: int = 50
 
     def __post_init__(self):
-        for name in (
-            "rewire_rate",
-            "routine_rate",
-            "afternoon_rate",
-            "p_cositu",
-            "p_meetup",
-            "p_follow",
-            "attend_rate",
-        ):
+        for name in ("p_cositu", "p_meetup", "p_follow"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {v}")
@@ -87,19 +78,13 @@ class GenConfig:
             raise ConfigError("corpus too small")
         if self.group_size < 4 or self.group_size % 2:
             raise ConfigError("group_size must be an even number >= 4")
-        if not 1 <= self.sessions_per_week <= len(_SESSION_SLOTS):
-            raise ConfigError(f"sessions_per_week must be in [1, {len(_SESSION_SLOTS)}]")
-        if self.venues_per_user < 5:
-            raise ConfigError("venues_per_user must be at least 5")
         if self.n_venues is not None and self.n_venues < self.min_venues(self):
             raise ConfigError(f"n_venues must be at least {self.min_venues(self)}")
 
     @staticmethod
     def min_venues(cfg: "GenConfig") -> int:
-        n_groups = cfg.n_groups
-        if n_groups is None:
-            n_groups = max(1, cfg.n_users // cfg.group_size)
-        return cfg.n_users * cfg.venues_per_user + max(60, 14 * n_groups)
+        n_groups = cfg.n_users // cfg.group_size
+        return cfg.n_users * _VENUES_PER_USER + max(60, 14 * n_groups)
 
 
 @dataclass
@@ -118,9 +103,9 @@ class GroundTruth:
         }
 
 
-def _ts(cfg: GenConfig, day: int, hour: int, minute: int, second: int = 0) -> int:
-    local = (_BASE_DAY + day) * SECONDS_PER_DAY + hour * 3600 + minute * 60 + second
-    return int(local - round(cfg.utc_offset_hours * 3600))
+def _ts(day: int, hour: int, minute: int) -> int:
+    local = (_BASE_DAY + day) * SECONDS_PER_DAY + hour * 3600 + minute * 60
+    return int(local - round(DEFAULT_UTC_OFFSET_HOURS * 3600))
 
 
 def _dow(day: int) -> int:
@@ -147,15 +132,13 @@ def generate(cfg: GenConfig) -> tuple[Dataset, GroundTruth]:
 
     # routine venues are user-exclusive blocks; the rest is a shared pool for
     # hangouts, crew venues, cafés and exploration
-    n_personal = cfg.n_users * cfg.venues_per_user
+    n_personal = cfg.n_users * _VENUES_PER_USER
     shared = venues[n_personal:]
 
     # --- social graph: planted groups + background edges ---------------------
-    n_groups = cfg.n_groups
-    if n_groups is None:
-        n_groups = max(1, cfg.n_users // cfg.group_size)
-    if n_groups * cfg.group_size > cfg.n_users:
+    if cfg.group_size > cfg.n_users:
         raise ConfigError("groups do not fit the population")
+    n_groups = cfg.n_users // cfg.group_size
 
     groups: list[list[str]] = [
         users[gi * cfg.group_size : (gi + 1) * cfg.group_size] for gi in range(n_groups)
@@ -175,11 +158,9 @@ def generate(cfg: GenConfig) -> tuple[Dataset, GroundTruth]:
                 a, b = members[a_idx], members[b_idx]
                 if missing.get(a) == b:
                     continue
-                if cfg.rewire_rate > 0.0 and rng.random() < cfg.rewire_rate:
-                    continue
                 edges.add((a, b))
     for u in users:
-        for _ in range(cfg.extra_edges_per_user):
+        for _ in range(_EXTRA_EDGES_PER_USER):
             w = users[rng.randrange(cfg.n_users)]
             if w != u:
                 edges.add((min(u, w), max(u, w)))
@@ -190,12 +171,12 @@ def generate(cfg: GenConfig) -> tuple[Dataset, GroundTruth]:
     evening: dict[str, list[str]] = {}
     habit: dict[str, str] = {}
     for idx, u in enumerate(users):
-        mine = list(venues[idx * cfg.venues_per_user : (idx + 1) * cfg.venues_per_user])
+        mine = list(venues[idx * _VENUES_PER_USER : (idx + 1) * _VENUES_PER_USER])
         rng.shuffle(mine)
         home[u] = mine[0]
         habit[u] = mine[1]
         lunch[u] = [mine[2 + rng.randrange(2)] for _ in range(7)]
-        evening[u] = [mine[4 + rng.randrange(cfg.venues_per_user - 4)] for _ in range(7)]
+        evening[u] = [mine[4 + rng.randrange(_VENUES_PER_USER - 4)] for _ in range(7)]
 
     # --- group fixtures ---------------------------------------------------------
     group_of: dict[str, int] = {}
@@ -205,7 +186,7 @@ def generate(cfg: GenConfig) -> tuple[Dataset, GroundTruth]:
 
     group_info: list[dict] = []
     n_weeks = (cfg.days + 6) // 7
-    n_blocks = n_weeks // cfg.cafe_block_weeks + 2
+    n_blocks = n_weeks // _CAFE_BLOCK_WEEKS + 2
     for gi, members in enumerate(groups):
         shuffled = list(members)
         rng.shuffle(shuffled)
@@ -236,7 +217,9 @@ def generate(cfg: GenConfig) -> tuple[Dataset, GroundTruth]:
         for pi, pair in enumerate(crews):
             pair[0]["out"] = own[1 + 2 * pi]
             pair[1]["out"] = own[2 + 2 * pi]
-        slots = sorted(rng.sample(_SESSION_SLOTS, cfg.sessions_per_week))
+        # every slot, but drawn as a sample: the draws it consumes place
+        # every later draw, so the corpus of a seed depends on them
+        slots = sorted(rng.sample(_SESSION_SLOTS, len(_SESSION_SLOTS)))
         cafes = own[1 + 2 * len(crews) :]
         group_info.append(
             {
@@ -303,14 +286,14 @@ def generate(cfg: GenConfig) -> tuple[Dataset, GroundTruth]:
                     continue
                 pair = info["crews"][rng.randrange(len(info["crews"]))]
                 crew = pair[rng.randrange(2)]
-                attendees = [m for m in crew["members"] if rng.random() < cfg.attend_rate]
+                attendees = [m for m in crew["members"] if rng.random() < _ATTEND_RATE]
                 if len(attendees) < 2:
                     continue
                 seq = [info["hangout"], crew["out"]]
                 session_events = []
                 for step, venue in enumerate(seq):
                     for m in attendees:
-                        ts = _ts(cfg, day, hour + step, rng.randrange(0, 45))
+                        ts = _ts(day, hour + step, rng.randrange(0, 45))
                         day_events.append((ts, m, venue, "session"))
                         session_events.append([m, venue, ts])
                 truth.sessions.append(
@@ -352,10 +335,10 @@ def generate(cfg: GenConfig) -> tuple[Dataset, GroundTruth]:
                 lunch_venue = lunch[follower][dow]
                 for m in (follower, buddy):
                     day_events.append(
-                        (_ts(cfg, day, 12, rng.randrange(0, 45)), m, lunch_venue, "meetup")
+                        (_ts(day, 12, rng.randrange(0, 45)), m, lunch_venue, "meetup")
                     )
                     day_events.append(
-                        (_ts(cfg, day, 13, rng.randrange(0, 45)), m, habit[buddy], "meetup")
+                        (_ts(day, 13, rng.randrange(0, 45)), m, habit[buddy], "meetup")
                     )
                 skip_lunch.add(buddy)
                 skip_lunch.add(follower)
@@ -372,12 +355,12 @@ def generate(cfg: GenConfig) -> tuple[Dataset, GroundTruth]:
 
         # weekend café visits (asynchronous trend)
         if weekend:
-            block = week // cfg.cafe_block_weeks
+            block = week // _CAFE_BLOCK_WEEKS
             for gi, info in enumerate(group_info):
                 cafe = info["cafes"][block]
                 for m in info["members"]:
                     if rng.random() < cfg.p_follow:
-                        ts = _ts(cfg, day, 18, rng.randrange(0, 50))
+                        ts = _ts(day, 18, rng.randrange(0, 50))
                         day_events.append((ts, m, cafe, "cafe"))
                         prior = last_cafe_visit.get((gi, cafe))
                         if prior is not None and prior[0] != m:
@@ -400,15 +383,15 @@ def generate(cfg: GenConfig) -> tuple[Dataset, GroundTruth]:
             for hour, venue in slots:
                 if hour == 12 and u in skip_lunch:
                     continue
-                if rng.random() < cfg.routine_rate:
+                if rng.random() < _ROUTINE_RATE:
                     day_events.append(
-                        (_ts(cfg, day, hour, rng.randrange(0, 50)), u, venue, "routine")
+                        (_ts(day, hour, rng.randrange(0, 50)), u, venue, "routine")
                     )
-            if not weekend and u not in skip_habit and rng.random() < cfg.afternoon_rate:
+            if not weekend and u not in skip_habit and rng.random() < _AFTERNOON_RATE:
                 day_events.append(
-                    (_ts(cfg, day, 13, rng.randrange(0, 50)), u, habit[u], "habit")
+                    (_ts(day, 13, rng.randrange(0, 50)), u, habit[u], "habit")
                 )
-            if rng.random() < cfg.explore_rate:
+            if rng.random() < _EXPLORE_RATE:
                 # with influence enabled, half the exploration is word of
                 # mouth: trying out a friend's regular venue or one of the
                 # group's own spots
@@ -427,7 +410,7 @@ def generate(cfg: GenConfig) -> tuple[Dataset, GroundTruth]:
                     venue = shared[rng.randrange(len(shared))]
                 hour = 9 + rng.randrange(13)
                 day_events.append(
-                    (_ts(cfg, day, hour, rng.randrange(0, 50)), u, venue, "explore")
+                    (_ts(day, hour, rng.randrange(0, 50)), u, venue, "explore")
                 )
 
         day_events.sort(key=lambda e: (e[0], e[1], e[2]))

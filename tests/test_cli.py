@@ -131,6 +131,26 @@ class TestBounds:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--entropy", "nan", "--locations", 5],
+            ["--entropy", "inf", "--locations", 5],
+            ["--entropy", 1.0, "--locations", "nan"],
+            ["--entropy", 1.0, "--locations", "inf"],
+            ["--entropy", 1.0, "--locations", 5, "--new-fraction", 0.3, "--avg-visits", "nan"],
+            ["--entropy", 1.0, "--locations", 5, "--new-fraction", 0.3, "--avg-visits", "inf"],
+        ],
+        ids=["entropy-nan", "entropy-inf", "locations-nan", "locations-inf",
+             "avg-visits-nan", "avg-visits-inf"],
+    )
+    def test_non_finite_inputs_exit_5(self, capsys, flags):
+        assert run(["bounds", *flags]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.strip().splitlines()
+        assert json.loads(line)["error"] == "ValueError"
+
 
 class TestCohesion:
     def test_k5_clique(self, tmp_path, capsys):
@@ -151,6 +171,15 @@ class TestCohesion:
         assert run(["cohesion", "--graph", path, "--plexes", "--min-size", 3]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
         assert all(len(json.loads(line)["members"]) >= 3 for line in lines)
+
+    @pytest.mark.parametrize("kind", ["--cliques", "--plexes"])
+    def test_negative_max_count_exits_5(self, tmp_path, capsys, kind):
+        path = tmp_path / "c5.csv"
+        save_edges([("a", "b"), ("b", "c"), ("c", "a")], path)
+        assert run(["cohesion", "--graph", path, kind, "--max-count", -1]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "ValueError"
 
 
 class TestStatsHomophilyCorrelate:
@@ -292,6 +321,20 @@ class TestStatsHomophilyCorrelate:
         ) == 0
         out = capsys.readouterr().out
         assert out.startswith("measure,")
+
+    def test_correlate_negative_sample_size_exits_5(self, corpus_dir, capsys):
+        assert run(
+            [
+                "correlate",
+                "--checkins", corpus_dir / "checkins.csv",
+                "--edges", corpus_dir / "edges.csv",
+                "--activity-threshold", 5,
+                "--sample-size", -3,
+            ]
+        ) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "ValueError"
 
     def test_train_dump(self, corpus_dir, capsys):
         assert run(
@@ -499,7 +542,6 @@ class TestReportErrors:
         (errors.DegenerateInput("constant"), 5),
         (errors.ModelEmpty("untrained"), 5),
         (errors.ConfigError("out of range"), 5),
-        (errors.UnsupportedScheme("later"), 5),
         (ValueError("bad value"), 5),
         (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"), 5),
         (FileNotFoundError(2, "No such file", "x.csv"), 2),

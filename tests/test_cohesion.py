@@ -206,6 +206,11 @@ class TestEnumeration:
             for s in sets:
                 assert not any(s < t for t in sets)
 
+    @pytest.mark.parametrize("enumerate_fn", [enumerate_cliques, enumerate_two_plexes])
+    def test_negative_max_count(self, enumerate_fn):
+        with pytest.raises(ValueError, match="max_count"):
+            enumerate_fn(complete_graph(4), max_count=-1)
+
     def test_truncation_cap(self, rng):
         g = random_graph(rng, 16, 0.5)
         full, _ = enumerate_two_plexes(g, min_size=3)

@@ -49,6 +49,11 @@ class TestSampling:
         # 9 degrees of freedom, alpha = 0.01
         assert chi2 < scipy_stats.chi2.ppf(0.99, df=9)
 
+    def test_negative_size(self):
+        for source, groups in (("global", None), ("two_plex", [["a", "b"]])):
+            with pytest.raises(ValueError, match=">= 0"):
+                sample_pairs(["a", "b"], -3, source=source, subgroups=groups)
+
     def test_empty_population(self):
         with pytest.raises(NoData):
             sample_pairs(["solo"], 5)

@@ -84,6 +84,23 @@ class TestBounds:
         with pytest.raises(ValueError):
             predictability_bounds(1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (math.nan, 5.0),
+            (math.inf, 5.0),
+            (1.0, math.nan),
+            (1.0, math.inf),
+            (1.0, 5.0, 0.3, math.nan),
+            (1.0, 5.0, 0.3, math.inf),
+        ],
+        ids=["entropy-nan", "entropy-inf", "locations-nan", "locations-inf",
+             "avg-visits-nan", "avg-visits-inf"],
+    )
+    def test_non_finite_inputs(self, args):
+        with pytest.raises(ValueError, match="finite"):
+            predictability_bounds(*args)
+
 
 def periodic_corpus(n_users=3, days=30):
     """Each user cycles deterministically through three personal venues."""
@@ -126,9 +143,9 @@ class TestPrequential:
         assert math.copysign(1.0, row["entropy"]) == 1.0
 
     def test_no_active_users(self):
-        ds = periodic_corpus()
+        ds = replace(periodic_corpus(), active_users=frozenset())
         with pytest.raises(NoData):
-            evaluate(ds, SostConfig(), targets=[])
+            evaluate(ds, SostConfig())
 
     def test_per_hour_shares_sum_to_one(self, small_corpus):
         ds, _ = small_corpus
@@ -225,7 +242,7 @@ class TestGcPause:
             evaluate(ds, SostConfig())
             assert gc.isenabled() is enabled
             with pytest.raises(NoData):
-                evaluate(ds, SostConfig(), targets=[])
+                evaluate(replace(ds, active_users=frozenset()), SostConfig())
             assert gc.isenabled() is enabled
         finally:
             gc.enable() if was else gc.disable()

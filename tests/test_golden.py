@@ -3,8 +3,10 @@
 corpus.
 
 The corpus is ``synth``'s planted-influence generator at a fixed seed,
-committed as CSV so that a later change to the generator does not move it.
-Each case runs every variant (``class_sweep`` and ``drift_compare``).
+committed as CSV; ``test_generator_reproduces_corpus`` checks that the
+generator still writes those bytes, so that a change to its order of
+random draws shows.  Each case runs every variant (``class_sweep`` and
+``drift_compare``).
 ``test_evaluate_traced_peak`` bounds the memory that run allocates.
 
 To regenerate the expected files after a change that is meant to alter the
@@ -85,6 +87,12 @@ def _outputs(dataset, config: SostConfig) -> tuple[str, str]:
 @pytest.fixture(scope="module")
 def dataset():
     return _dataset()
+
+
+def test_generator_reproduces_corpus(tmp_path):
+    save_dataset(generate(CORPUS)[0], tmp_path / "checkins.csv", tmp_path / "edges.csv")
+    for name in ("checkins.csv", "edges.csv"):
+        assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from socmob.core import WEEK_SECONDS, CheckIn, Venue, haversine_km, home_location
-from socmob.errors import InsufficientSpan, NoData, UnsupportedScheme
+from socmob.errors import InsufficientSpan, NoData
 from socmob.homophily import (
     MobilityIndex,
     WeightScheme,
@@ -237,11 +237,6 @@ class TestWeighting:
         for kind in ("density", "population", "entropy", "distance_from_home"):
             wf = _weight_fn(WeightScheme(kind), venues, hi, hj)
             assert all(wf(v) > 0 for v in venues)
-
-    def test_extra_role_unsupported(self):
-        a = [make_checkin(ts=0)]
-        with pytest.raises(UnsupportedScheme):
-            spatial_cosine(a, a, scheme=WeightScheme("extra_role"))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

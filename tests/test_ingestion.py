@@ -21,6 +21,7 @@ from socmob.core import (
 from socmob.errors import IntegrityError, NoData, ParseError, UnknownNode
 from socmob.ingestion import (
     CHECKIN_HEADER,
+    DENSITY_RADIUS_M,
     Dataset,
     IngestConfig,
     _mean_std,
@@ -215,7 +216,7 @@ class TestDensity:
             make_checkin(user=f"u{i}", venue=f"v{i}", ts=i, lat=37.75 + i * step, lon=-122.45)
             for i in range(3)
         ]
-        ds = build_dataset(rows, [], IngestConfig(density_radius_m=200.0))
+        ds = build_dataset(rows, [], IngestConfig())
         assert ds.venues["v0"].density == 1
         assert ds.venues["v1"].density == 2
         assert ds.venues["v2"].density == 1
@@ -226,7 +227,7 @@ class TestDensity:
             make_checkin(user="a", venue="va", ts=0, lat=lat, lon=lon_a),
             make_checkin(user="b", venue="vb", ts=1, lat=lat, lon=lon_b),
         ]
-        ds = build_dataset(rows, [], IngestConfig(density_radius_m=200.0))
+        ds = build_dataset(rows, [], IngestConfig())
         return ds.venues["va"].density, ds.venues["vb"].density
 
     def test_east_west_neighbours_at_high_latitude(self):
@@ -381,7 +382,7 @@ def reference_build_dataset(checkins, edges, config):
             raise IntegrityError(f"venue {ci.venue_id!r} appears with conflicting coordinates")
         visitors.setdefault(ci.venue_id, {})
         visitors[ci.venue_id][ci.user_id] = visitors[ci.venue_id].get(ci.user_id, 0) + 1
-    density = _venue_density(coords, config.density_radius_m)
+    density = _venue_density(coords, DENSITY_RADIUS_M)
     venues = {
         vid: Venue(
             venue_id=vid,

@@ -27,6 +27,8 @@ from socmob.sost import (
     CLASS_I,
     CLASS_II,
     CLASS_III,
+    SITUATION_WINDOW,
+    TIE_WINDOW,
     InfluenceRecord,
     SostConfig,
     SostModel,
@@ -181,7 +183,7 @@ def reference_run(dataset, config, class_sweep, drift_compare):
             )
 
     history = []  # every check-in processed so far, in stream order
-    active_window = max(config.situation_window, int(config.stay_hours * 3600))
+    active_window = max(SITUATION_WINDOW, int(config.stay_hours * 3600))
     rows, situations = [], dict.fromkeys(targets, 0)
     for ci in dataset.checkins:
         u, v, t = ci.user_id, ci.venue_id, ci.timestamp
@@ -198,7 +200,7 @@ def reference_run(dataset, config, class_sweep, drift_compare):
                 near = {
                     c.user_id for c in history
                     if c.venue_id == last.venue_id and c.user_id != u
-                    and abs(c.timestamp - last.timestamp) <= config.situation_window
+                    and abs(c.timestamp - last.timestamp) <= SITUATION_WINDOW
                     and c.user_id in friends(u)
                 }
                 if near:
@@ -215,9 +217,9 @@ def reference_run(dataset, config, class_sweep, drift_compare):
             rows.append(row)
 
         tree(u).observe(v, spatial, temporal)
-        week = [c for c in history if c.venue_id == v and c.timestamp >= t - config.tie_window]
+        week = [c for c in history if c.venue_id == v and c.timestamp >= t - TIE_WINDOW]
         present = {
-            c.user_id for c in week if c.timestamp >= t - config.situation_window
+            c.user_id for c in week if c.timestamp >= t - SITUATION_WINDOW
         } - {u}
         for tgt in targets:
             circle = friends(tgt) | {tgt}

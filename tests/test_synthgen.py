@@ -3,6 +3,7 @@ import json
 import pytest
 
 from socmob.cohesion import enumerate_two_plexes, is_two_plex
+from socmob.core import DEFAULT_UTC_OFFSET_HOURS
 from socmob.errors import ConfigError
 from socmob.synthgen import GenConfig, generate, write_corpus
 
@@ -52,7 +53,7 @@ class TestStructure:
             assert is_two_plex(ds.graph, members)
 
     def test_planted_groups_recovered_by_enumeration(self):
-        ds, truth = generate(small_cfg(rewire_rate=0.0))
+        ds, truth = generate(small_cfg())
         plexes, truncated = enumerate_two_plexes(ds.graph, min_size=3)
         assert not truncated
         found = {sg.members for sg in plexes}
@@ -66,7 +67,7 @@ class TestStructure:
         # visit strictly precedes it or coincides within an hour
         cfg = small_cfg()
         ds, truth = generate(cfg)
-        offset = round(cfg.utc_offset_hours * 3600)
+        offset = round(DEFAULT_UTC_OFFSET_HOURS * 3600)
 
         def day_of(ts):
             return (ts + offset) // 86_400 - 18_001
