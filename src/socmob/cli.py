@@ -8,6 +8,7 @@ record to stderr.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -102,6 +103,29 @@ def _read_config_file(path: str) -> dict[str, str]:
     return out
 
 
+def _read_pairs(path: str) -> list[tuple[str, str]]:
+    """The user pairs of a ``user_a,user_b`` file with no header; blank
+    lines are skipped and each id is stripped of surrounding whitespace."""
+    pairs: list[tuple[str, str]] = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            for row in reader:
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != 2:
+                    raise ParseError(f"expected 2 fields, got {len(row)}", reader.line_num)
+                a, b = row[0].strip(), row[1].strip()
+                if not a or not b:
+                    raise ParseError("empty user id", reader.line_num)
+                pairs.append((a, b))
+        except csv.Error as exc:
+            raise ParseError(str(exc), reader.line_num) from None
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
+    return pairs
+
+
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--checkins", required=True, help="check-in CSV file")
     p.add_argument("--edges", required=True, help="edge-list CSV file")
@@ -153,23 +177,17 @@ def _cmd_homophily(args) -> int:
     index = homophily.index_histories(ds.histories())
     scheme = homophily.WeightScheme(kind=args.weight)
     lines = ["user_a,user_b,value"]
-    with open(args.pairs, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            a, _, b = line.partition(",")
-            a, b = a.strip(), b.strip()
-            ia, ib = index.get(a, ()), index.get(b, ())
-            if args.measure == "col":
-                val = homophily.colocation_count(ia, ib, scheme=scheme, venues=ds.venues)
-            elif args.measure == "scol":
-                val = homophily.scol_rate(ia, ib, span=ds.span())
-            elif args.measure == "scos":
-                val = homophily.spatial_cosine(ia, ib, scheme=scheme, venues=ds.venues)
-            else:
-                val = homophily.social_situation_rate(ia, ib, scheme=scheme, venues=ds.venues)
-            lines.append(f"{a},{b},{val!r}")
+    for a, b in _read_pairs(args.pairs):
+        ia, ib = index.get(a, ()), index.get(b, ())
+        if args.measure == "col":
+            val = homophily.colocation_count(ia, ib, scheme=scheme, venues=ds.venues)
+        elif args.measure == "scol":
+            val = homophily.scol_rate(ia, ib, span=ds.span())
+        elif args.measure == "scos":
+            val = homophily.spatial_cosine(ia, ib, scheme=scheme, venues=ds.venues)
+        else:
+            val = homophily.social_situation_rate(ia, ib, scheme=scheme, venues=ds.venues)
+        lines.append(f"{a},{b},{val!r}")
     _out("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -233,7 +233,7 @@ def enumerate_cliques(
     Returns (subgroups, truncated).  When ``max_count`` is reached the
     enumeration stops and the truncated flag is set.
     """
-    _check_max_count(max_count)
+    _check_limits(min_size, max_count)
     nodes, adj = _bit_adjacency(g)
     found: list[int] = []
     complete = _bron_kerbosch(adj, 0, (1 << len(nodes)) - 1, 0, found, max_count)
@@ -248,7 +248,11 @@ def enumerate_cliques(
     return groups, not complete
 
 
-def _check_max_count(max_count: int | None) -> None:
+def _check_limits(min_size: int, max_count: int | None) -> None:
+    """Reject the limits of a search before it runs: subgroups have at
+    least 3 members, so a smaller ``min_size`` is an error on any graph."""
+    if min_size < 3:
+        raise ValueError(f"min_size must be >= 3, as subgroups have 3 members, got {min_size}")
     if max_count is not None and max_count < 0:
         raise ValueError(f"max_count must be >= 0, got {max_count}")
 
@@ -314,7 +318,7 @@ def enumerate_two_plexes(
 ) -> tuple[list[Subgroup], bool]:
     """All maximal 2-plexes with at least ``min_size`` members, each with
     its cohesion, smallest first.  Returns (subgroups, truncated)."""
-    _check_max_count(max_count)
+    _check_limits(min_size, max_count)
     members, truncated = _two_plex_members(g, min_size, max_count)
     groups = [
         Subgroup(members=m, kind="two_plex", cohesion=_safe_cohesion(g, m)) for m in members

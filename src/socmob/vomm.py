@@ -16,9 +16,16 @@ remain available at every spatial order.
 The trie holds spatial contexts only: the root and one node per venue
 suffix, each with a child per next venue.  A spatial node keeps the
 counters of its calendar refinements in one flat map keyed by a small
-integer (``calendar_keys``), so a calendar context costs a counter dict
-and no node.  Dumps still write the calendar as nested ``W``/``D``/``S``
+integer (``calendar_keys``), so a calendar context costs a counter and
+no node.  Dumps still write the calendar as nested ``W``/``D``/``S``
 nodes.
+
+Most contexts are seen once, so a counter that has counted one event is
+that event's symbol, not a one-entry dict, and a node that training only
+passes through holds None.  The root's counters stay a dict: they are the
+alphabet.  Readers test for the one-event form before they test for
+emptiness, as a venue id may be the empty string; ``counts_at`` and dumps
+give every counter as a dict.
 """
 
 from __future__ import annotations
@@ -34,6 +41,8 @@ from .errors import ModelEmpty, ParseError, dump_field, parse_dump
 
 Label = tuple[str, object]
 Context = tuple[Label, ...]
+# a context's counters: symbol counts, or the symbol of the one event counted
+Counts = Mapping[str, int] | str
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,14 +148,33 @@ NO_CHILDREN: Mapping = MappingProxyType({})
 
 class _Node:
     """A spatial context: ``children`` by next venue, the context's own
-    ``counts``, and the counters of its calendar refinements in ``cal``."""
+    ``counts`` (None until an event counts there), and the counters of its
+    calendar refinements in ``cal``."""
 
     __slots__ = ("children", "counts", "cal")
 
     def __init__(self):
         self.children: Mapping[str, _Node] = NO_CHILDREN
-        self.counts: dict[str, int] = {}
-        self.cal: Mapping[int, dict[str, int]] = NO_CHILDREN
+        self.counts: Counts | None = None
+        self.cal: Mapping[int, Counts] = NO_CHILDREN
+
+
+def _bumped(counts: Counts | None, symbol: str) -> Counts:
+    """``counts`` after one more event of ``symbol``: the symbol itself
+    after the first event, a dict in first-seen order after the second."""
+    if counts is None:
+        return symbol
+    if counts.__class__ is str:
+        return {symbol: 2} if counts == symbol else {counts: 1, symbol: 1}
+    counts[symbol] = counts.get(symbol, 0) + 1
+    return counts
+
+
+def _as_dict(counts: Counts | None) -> Mapping[str, int]:
+    """A counter as a dict: ``{s: 1}`` for a symbol, ``{}`` for None."""
+    if counts.__class__ is str:
+        return {counts: 1}
+    return {} if counts is None else counts
 
 
 class ContextTree:
@@ -155,6 +183,8 @@ class ContextTree:
     def __init__(self, config: TreeConfig | None = None):
         self.config = config or TreeConfig()
         self.root = _Node()
+        # the root counts every event: its dict is the alphabet
+        self.root.counts = {}
         self.n_events = 0
 
     # -- training -------------------------------------------------------
@@ -175,17 +205,12 @@ class ContextTree:
                         node.children = {}
                     child = node.children[v] = _Node()
                 node = child
-            counts = node.counts
-            counts[symbol] = counts.get(symbol, 0) + 1
+            node.counts = _bumped(node.counts, symbol)
             cal = node.cal
             if cal is NO_CHILDREN:
                 cal = node.cal = {}
             for key in keys:
-                counts = cal.get(key)
-                if counts is None:
-                    cal[key] = {symbol: 1}
-                else:
-                    counts[symbol] = counts.get(symbol, 0) + 1
+                cal[key] = _bumped(cal.get(key), symbol)
         self.n_events += 1
 
     def train_event(self, venue: str, timestamp: int, prev_venues: Sequence[str]) -> None:
@@ -209,17 +234,18 @@ class ContextTree:
         return self.root.counts
 
     def counts_at(self, context: Context) -> Mapping[str, int] | None:
-        """The counters of a label context; None where no event reached it
-        or where ``observe`` cannot make it."""
+        """The counters of a label context as a dict; None where no event
+        reached it or where ``observe`` cannot make it."""
         node = self.root
         for i, (kind, value) in enumerate(context):
             if kind != "L":
                 key = _labels_key(context[i:], 24 // self.config.slot_hours)
-                return None if key is None else node.cal.get(key)
+                counts = None if key is None else node.cal.get(key)
+                return None if counts is None else _as_dict(counts)
             node = node.children.get(value)
             if node is None:
                 return None
-        return node.counts
+        return _as_dict(node.counts)
 
     def key(self, prev_venues: Sequence[str], timestamp: int) -> ContextKey:
         sp = tuple(prev_venues)
@@ -319,9 +345,9 @@ def _decode_label(text: str) -> Label:
         raise ParseError(f"bad context label {text!r}") from None
 
 
-def _encoded(counts: Mapping[str, int], children: dict[str, dict]) -> dict:
+def _encoded(counts: Counts | None, children: dict[str, dict]) -> dict:
     """A dumped node: its counts and its children, each in key order."""
-    return {"c": dict(sorted(counts.items())), "k": dict(sorted(children.items()))}
+    return {"c": dict(sorted(_as_dict(counts).items())), "k": dict(sorted(children.items()))}
 
 
 def _encode_node(node: _Node, n_slots: int) -> dict:
@@ -415,7 +441,7 @@ class MergedContextView:
         symbols and their number enter the estimate, not their counts."""
         return dict.fromkeys(chain.from_iterable(t.root.counts for t in self.trees))
 
-    def _counters(self, key: ContextKey) -> list[Mapping[str, int] | None]:
+    def _counters(self, key: ContextKey) -> list[Counts | None]:
         keys = calendar_keys(key.temporal)
         columns = zip(*(_chain_counts(t.root, key.spatial, keys) for t in self.trees))
         return [_merged(column) for column in columns]
@@ -453,9 +479,10 @@ def _ranked(dist: Mapping[str, float], limit: int | None) -> list[tuple[str, flo
 
 def _chain_counts(
     root: _Node, spatial: Sequence[str], keys: tuple[int, int, int]
-) -> list[Mapping[str, int] | None]:
+) -> list[Counts | None]:
     """The counters of ``escape_chain(spatial, temporal)`` without its final
-    empty context, in chain order; None where no event reached a context.
+    empty context, in chain order, as the trie holds them; None where no
+    event reached a context.
 
     One descent per spatial order reaches the node after its venues; the
     calendar contexts of that order are three keys of its ``cal`` map
@@ -463,7 +490,7 @@ def _chain_counts(
     leaves its whole order None.
     """
     w, d, s = keys
-    out: list[Mapping[str, int] | None] = []
+    out: list[Counts | None] = []
     n = len(spatial)
     for k in range(n, -1, -1):
         node = root
@@ -483,27 +510,31 @@ def _chain_counts(
     return out
 
 
-def _merged(column: Iterable[Mapping[str, int] | None]) -> Mapping[str, int] | None:
+def _merged(column: Iterable[Counts | None]) -> Counts | None:
     """One context's counters summed over trees in tree order: the first
-    non-empty counter, with each later one added to a copy of it."""
+    non-empty counter, with each later one added to a dict copy of it."""
     merged = None
     copied = False
     for counts in column:
-        if not counts:
+        one = counts.__class__ is str
+        if not one and not counts:
             continue
         if merged is None:
             merged = counts
             continue
         if not copied:
-            merged = dict(merged)
+            merged = {merged: 1} if merged.__class__ is str else dict(merged)
             copied = True
+        if one:
+            merged[counts] = merged.get(counts, 0) + 1
+            continue
         for q, c in counts.items():
             merged[q] = merged.get(q, 0) + c
     return merged
 
 
 def _escape(
-    counters: Iterable[Mapping[str, int] | None], alphabet: Mapping[str, object]
+    counters: Iterable[Counts | None], alphabet: Mapping[str, object]
 ) -> tuple[dict[str, float], float]:
     """The escape walk over the counters of a fallback chain, longest
     context first: each symbol's probability at the first context that
@@ -514,6 +545,13 @@ def _escape(
     out: dict[str, float] = {}
     acc = 1.0
     for counts in counters:
+        if counts.__class__ is str:
+            # one event: the dict path's acc * c / denom and
+            # len(counts) / denom for {q: 1}, with the same floats
+            if counts not in out:
+                out[counts] = acc * 1 / 2
+            acc *= 1 / 2
+            continue
         if not counts:
             continue
         total = sum(counts.values())
@@ -526,7 +564,7 @@ def _escape(
 
 
 def _ppm(
-    counters: Iterable[Mapping[str, int] | None],
+    counters: Iterable[Counts | None],
     alphabet: Mapping[str, object],
     candidates: Iterable[str] | None,
 ) -> tuple[dict[str, float], float]:
@@ -540,7 +578,7 @@ def _ppm(
 
 
 def _ppm_best(
-    counters: Iterable[Mapping[str, int] | None], alphabet: Mapping[str, object]
+    counters: Iterable[Counts | None], alphabet: Mapping[str, object]
 ) -> tuple[tuple[str, float], float]:
     """``argmax`` of ``_ppm``'s distribution over ``alphabet``, and its
     never-seen mass.  Every other symbol of the alphabet gets that mass, so

@@ -182,6 +182,71 @@ class TestCohesion:
         assert json.loads(captured.err)["error"] == "ValueError"
 
 
+    @pytest.mark.parametrize("kind", ["--cliques", "--plexes"])
+    def test_min_size_below_three_exits_5(self, tmp_path, capsys, kind):
+        path = tmp_path / "k4.csv"
+        save_edges([(f"n{i}", f"n{j}") for i in range(4) for j in range(i + 1, 4)], path)
+        assert run(["cohesion", "--graph", path, kind, "--min-size", 2]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        record = json.loads(captured.err)
+        assert record["error"] == "ValueError" and "min_size" in record["message"]
+
+
+class TestPairsFile:
+    """`homophily --pairs` reads `user_a,user_b` rows: no header, blank
+    lines skipped, ids stripped; any other row exits 3 naming its line."""
+
+    def _homophily(self, corpus_dir, pairs, measure="col"):
+        return run(
+            ["homophily", "--checkins", corpus_dir / "checkins.csv",
+             "--edges", corpus_dir / "edges.csv", "--activity-threshold", 5,
+             "--pairs", pairs, "--measure", measure]
+        )
+
+    @pytest.mark.parametrize("measure", ["col", "scol", "scos", "srate"])
+    def test_blank_lines_and_spaces(self, corpus_dir, tmp_path, capsys, measure):
+        plain, loose = tmp_path / "plain.csv", tmp_path / "loose.csv"
+        plain.write_text("u0000,u0001\nu0002,u0003\n")
+        loose.write_bytes(b"\n u0000 ,u0001\r\n   \n\nu0002,\tu0003")
+        outputs = []
+        for pairs in (plain, loose):
+            assert self._homophily(corpus_dir, pairs, measure) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].splitlines()[1].startswith("u0000,u0001,")
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("u0001\n", 1),
+            ("u0000,u0001\nu0002,u0003,u0004\n", 2),
+            ("u0000,u0001\n\nu0002,\n", 3),
+            (" , \n", 1),
+            (",u0001\n", 1),
+            ('u0000,u0001\n"u0002\n', 2),
+        ],
+        ids=["one-field", "three-fields", "empty-second", "both-blank", "empty-first",
+             "open-quote"],
+    )
+    def test_malformed_row_exits_3(self, corpus_dir, tmp_path, capsys, text, line):
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text(text)
+        assert self._homophily(corpus_dir, pairs) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        record = json.loads(captured.err)
+        assert record["error"] == "ParseError"
+        assert record["message"].startswith(f"line {line}: ")
+
+    def test_not_utf8_exits_3(self, corpus_dir, tmp_path, capsys):
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_bytes(b"u0000,u0001\nu0002,u\xff3\n")
+        assert self._homophily(corpus_dir, pairs) == 3
+        record = json.loads(capsys.readouterr().err)
+        assert record == {"error": "ParseError", "message": "line 2: not UTF-8"}
+
+
 class TestStatsHomophilyCorrelate:
     def test_stats(self, corpus_dir, capsys):
         assert run(

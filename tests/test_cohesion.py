@@ -211,6 +211,14 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="max_count"):
             enumerate_fn(complete_graph(4), max_count=-1)
 
+    @pytest.mark.parametrize("min_size", [2, 0, -1])
+    @pytest.mark.parametrize("enumerate_fn", [enumerate_cliques, enumerate_two_plexes])
+    def test_min_size_below_three(self, enumerate_fn, min_size):
+        # rejected before the search, also where every maximal group is
+        # large enough that the search itself would succeed
+        with pytest.raises(ValueError, match="min_size"):
+            enumerate_fn(complete_graph(4), min_size=min_size)
+
     def test_truncation_cap(self, rng):
         g = random_graph(rng, 16, 0.5)
         full, _ = enumerate_two_plexes(g, min_size=3)
@@ -226,6 +234,12 @@ class TestEnumeration:
 # The enumerators before they moved to vertex bitmasks, kept here so that the
 # bitmask search can be checked to build the same search tree: same groups,
 # same cut-off under max_count, same exceptions.
+
+
+def _reference_min_size(min_size):
+    # rejected before the search, as subgroups have at least 3 members
+    if min_size < 3:
+        raise ValueError(f"min_size must be >= 3, as subgroups have 3 members, got {min_size}")
 
 
 def _reference_cohesion(g, members):
@@ -248,6 +262,7 @@ def _reference_bron_kerbosch(adj, r, p, x, out, cap):
 
 
 def reference_cliques(g, min_size=3, max_count=None):
+    _reference_min_size(min_size)
     adj = {u: g.neighbors(u) for u in g.nodes}
     found = []
     complete = _reference_bron_kerbosch(adj, set(), set(g.nodes), set(), found, max_count)
@@ -309,6 +324,7 @@ def _plex_extend(adj, members, deg_in, cand, excl, k, min_size, seen, out, cap):
 
 
 def reference_two_plexes(g, min_size=3, max_count=None):
+    _reference_min_size(min_size)
     adj = {u: g.neighbors(u) for u in g.nodes}
     nodes = sorted(g.nodes)
     seen = set()

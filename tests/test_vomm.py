@@ -550,6 +550,9 @@ def reference_distribution(counts_at, alphabet, chain, candidates):
 
 TRAINED = "ABCD"  # venues the trees may see
 QUERIED = TRAINED + "XY"  # X and Y are never trained
+# venue ids at the edges: the empty id, which is falsy, and one that sorts
+# before the others
+EDGE_TRAINED = ("", "0", *TRAINED)
 T0 = 1_000_000
 
 
@@ -699,24 +702,31 @@ def nested_and_flat(draw, n_trees):
     pairs = []
     for _ in range(n_trees):
         flat, nested = ContextTree(cfg), NestedTrie(cfg)
-        events = draw(
-            st.lists(
-                st.tuples(
-                    st.sampled_from(TRAINED),
-                    st.lists(st.sampled_from(TRAINED + "E"), max_size=4).map(tuple),
-                    _timestamps(),
-                ),
-                max_size=40,
-            )
-        )
-        for symbol, spatial, ts in events:
+        for symbol, spatial, ts in draw(_events()):
             temporal = cfg.temporal(ts)
             flat.observe(symbol, spatial, temporal)
             nested.observe(symbol, spatial, temporal)
         pairs.append((flat, nested))
-    spatial = tuple(draw(st.lists(st.sampled_from(QUERIED), max_size=cfg.kappa)))
-    key = ContextKey(spatial, cfg.temporal(draw(_timestamps())))
-    return pairs, key
+    return pairs, _key(draw, cfg)
+
+
+def _events():
+    """Events as ``observe`` takes them: a symbol, the venues before it and
+    a timestamp."""
+    return st.lists(
+        st.tuples(
+            st.sampled_from(EDGE_TRAINED),
+            st.lists(st.sampled_from((*EDGE_TRAINED, "E")), max_size=4).map(tuple),
+            _timestamps(),
+        ),
+        max_size=40,
+    )
+
+
+def _key(draw, cfg):
+    queried = (*EDGE_TRAINED, "X", "Y")  # X and Y are never trained
+    spatial = tuple(draw(st.lists(st.sampled_from(queried), max_size=cfg.kappa)))
+    return ContextKey(spatial, cfg.temporal(draw(_timestamps())))
 
 
 class TestFlatCalendarLayout:
@@ -764,6 +774,61 @@ class TestFlatCalendarLayout:
         )
         got = _outcome(lambda: view.predict(key, limit=1))
         assert got == (ModelEmpty if ref is ModelEmpty else [argmax(ref[0])])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_merged_trained_and_loaded_trees_match_joint_tree(self, data):
+        # a loaded tree keeps dict counters, a trained one one-event symbols;
+        # the view over any mix predicts as the tree trained on every event
+        cfg = TreeConfig(
+            kappa=data.draw(st.integers(0, 3)), slot_hours=data.draw(st.sampled_from([1, 6, 24]))
+        )
+        joint = ContextTree(cfg)
+        trees = []
+        for loaded in data.draw(st.lists(st.booleans(), min_size=1, max_size=4)):
+            tree = ContextTree(cfg)
+            for symbol, spatial, ts in data.draw(_events()):
+                temporal = cfg.temporal(ts)
+                tree.observe(symbol, spatial, temporal)
+                joint.observe(symbol, spatial, temporal)
+            trees.append(ContextTree.loads(tree.dumps()) if loaded else tree)
+        view = MergedContextView(trees)
+        key = _key(data.draw, cfg)
+        assert _outcome(lambda: view.distribution(key)) == _outcome(lambda: joint.distribution(key))
+        for limit in (None, 1):
+            got = _outcome(lambda: view.predict(key, limit))
+            assert got == _outcome(lambda: joint.predict(key, limit))
+
+    @settings(max_examples=200, deadline=None)
+    @given(nested_and_flat(1))
+    def test_one_event_counters_are_symbols(self, case):
+        # below the root, a counter of one event is its symbol, a node that
+        # no event counted holds None, and every dict counts two or more
+        ((tree, _),), _ = case
+        counters = []
+        stack = list(tree.root.children.values())
+        while stack:
+            node = stack.pop()
+            stack.extend(node.children.values())
+            counters.append(node.counts)
+            counters.extend(node.cal.values())
+        for counts in counters:
+            if counts is None or counts.__class__ is str:
+                continue
+            assert sum(counts.values()) >= 2, counts
+
+    def test_empty_venue_id_is_counted(self):
+        # "" is falsy: a reader that skips empty counters first drops it
+        events = hourly_history(["", "a", ""])
+        tree = train_tree(events)
+        assert tree.root.children["a"].counts == ""
+        key = tree.key(["a"], events[-1][1])
+        oracle = PpmOracle(events, tree.config)
+        context = oracle.full_context(("a",), key.temporal)
+        dist, unseen = tree.distribution(key)
+        assert dist == {q: oracle.prob(q, context, key.temporal) for q in ("", "a")}
+        assert dist == {"": 0.5, "a": 0.00625}
+        assert tree.best(key) == (("", 0.5), unseen)
 
     def test_argmax_ties_go_to_the_smaller_id(self):
         cfg = TreeConfig(kappa=0)
