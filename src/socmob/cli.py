@@ -17,7 +17,7 @@ from pathlib import Path
 from . import cohesion as cohesion_mod
 from . import correlation as correlation_mod
 from . import evaluation, ingestion, sost, synthgen
-from .core import WEIGHT_KINDS, SocialGraph
+from .core import VENUE_WEIGHT_KINDS, WEIGHT_KINDS, SocialGraph
 from .errors import (
     ConfigError,
     DegenerateInput,
@@ -103,10 +103,11 @@ def _read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _read_pairs(path: str) -> list[tuple[str, str]]:
-    """The user pairs of a ``user_a,user_b`` file with no header; blank
-    lines are skipped and each id is stripped of surrounding whitespace."""
-    pairs: list[tuple[str, str]] = []
+def _read_pairs(path: str) -> list[tuple[int, str, str]]:
+    """The user pairs of a ``user_a,user_b`` file with no header, each with
+    the line its record ends on; blank lines are skipped and each id is
+    stripped of surrounding whitespace."""
+    pairs: list[tuple[int, str, str]] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -118,7 +119,7 @@ def _read_pairs(path: str) -> list[tuple[str, str]]:
                 a, b = row[0].strip(), row[1].strip()
                 if not a or not b:
                     raise ParseError("empty user id", reader.line_num)
-                pairs.append((a, b))
+                pairs.append((reader.line_num, a, b))
         except csv.Error as exc:
             raise ParseError(str(exc), reader.line_num) from None
         except UnicodeDecodeError:
@@ -175,18 +176,24 @@ def _cmd_homophily(args) -> int:
 
     ds = _load(args)
     index = homophily.index_histories(ds.histories())
+    pairs = _read_pairs(args.pairs)
+    for line, a, b in pairs:
+        for user in (a, b):
+            if user not in index:
+                raise NoData(f"line {line}: user {user!r} has no check-ins")
     scheme = homophily.WeightScheme(kind=args.weight)
+    venues = ds.venues if args.weight in VENUE_WEIGHT_KINDS else None
     lines = ["user_a,user_b,value"]
-    for a, b in _read_pairs(args.pairs):
-        ia, ib = index.get(a, ()), index.get(b, ())
+    for _, a, b in pairs:
+        ia, ib = index[a], index[b]
         if args.measure == "col":
-            val = homophily.colocation_count(ia, ib, scheme=scheme, venues=ds.venues)
+            val = homophily.colocation_count(ia, ib, scheme=scheme, venues=venues)
         elif args.measure == "scol":
             val = homophily.scol_rate(ia, ib, span=ds.span())
         elif args.measure == "scos":
-            val = homophily.spatial_cosine(ia, ib, scheme=scheme, venues=ds.venues)
+            val = homophily.spatial_cosine(ia, ib, scheme=scheme, venues=venues)
         else:
-            val = homophily.social_situation_rate(ia, ib, scheme=scheme, venues=ds.venues)
+            val = homophily.social_situation_rate(ia, ib, scheme=scheme, venues=venues)
         lines.append(f"{a},{b},{val!r}")
     _out("\n".join(lines) + "\n", args.out)
     return 0

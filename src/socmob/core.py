@@ -74,6 +74,8 @@ class CheckIn(_CheckInFields):
 #: The venue weightings of the homophily measures (``homophily.WeightScheme``),
 #: kept here so that naming them does not load the numeric stack.
 WEIGHT_KINDS = ("none", "density", "distance_from_home", "population", "entropy")
+#: The weightings that read the venue table (``Dataset.venues``).
+VENUE_WEIGHT_KINDS = ("density", "population", "entropy")
 
 
 @dataclass(frozen=True, slots=True)

@@ -11,16 +11,20 @@ from 0 up to the largest float, the latitude lies in [-90, 90] and the
 longitude in [-180, 180].  A row that breaks a rule, or CSV the reader
 cannot split, raises ParseError with the line the record ends on (the
 physical line for a record without a quoted newline); a file that is not
-UTF-8 names the line of its first byte that is not.
+UTF-8 names the line of its first byte that is not.  The rules are
+``CheckIn``'s, applied in its order; each distinct pair of coordinate
+strings is parsed and range-checked once, and its check-ins share the
+parsed floats.
 
-Loading is one pass over the sorted check-ins: a single tally loop
-collects each venue's coordinates (checking that repeat visits agree),
-its visitors and their visit counts, and each user's check-in count.
-From these come the per-venue population, entropy and density, the
-friendship graph's nodes, and the active users (those with at least
-``activity_threshold`` check-ins).  ``descriptive_stats`` likewise counts
-each user's venue visits once and reads every per-user figure from that
-one tally.
+Loading does eagerly only what validation and the graph need: one loop
+over the sorted check-ins checks that repeat visits to a venue agree on
+its coordinates and counts each user's check-ins, which give the
+friendship graph's nodes and the active users (those with at least
+``activity_threshold`` check-ins, which must be at least 1).  The venue
+table (population, entropy and density) is built from the check-ins on
+the first read of ``Dataset.venues``.  ``descriptive_stats`` counts each
+user's venue visits once and reads every per-user figure from that one
+tally.
 """
 
 from __future__ import annotations
@@ -29,12 +33,14 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
+from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import cohesion
 from .core import (
+    _FLOAT_MAX,
     EARTH_RADIUS_KM,
     CheckIn,
     SocialGraph,
@@ -43,7 +49,7 @@ from .core import (
     haversine_km,
     histories_by_user,
 )
-from .errors import IntegrityError, NoData, ParseError, not_utf8
+from .errors import ConfigError, IntegrityError, NoData, ParseError, not_utf8
 
 CHECKIN_HEADER = ["user_id", "venue_id", "timestamp", "lat", "lon"]
 EDGE_HEADER = ["user_a", "user_b"]
@@ -63,16 +69,48 @@ class IngestConfig:
 
     activity_threshold: int = 50
 
+    def __post_init__(self):
+        if self.activity_threshold < 1:
+            raise ConfigError(
+                f"activity_threshold must be at least 1, got {self.activity_threshold}"
+            )
+
 
 @dataclass(frozen=True)
 class Dataset:
-    """A loaded corpus: time-sorted check-ins, venues, graph, active users."""
+    """A loaded corpus: time-sorted check-ins, graph, active users, and the
+    venue table, which is built from the check-ins when first read."""
 
     checkins: tuple[CheckIn, ...]
-    venues: dict[str, Venue]
     graph: SocialGraph
     active_users: frozenset[str]
     config: IngestConfig = field(default_factory=IngestConfig)
+
+    @cached_property
+    def venues(self) -> dict[str, Venue]:
+        """Each venue's coordinates, population, entropy and density, venues
+        and their visitors in order of first check-in."""
+        coords: dict[str, tuple[float, float]] = {}
+        visitors: dict[str, dict[str, int]] = {}
+        for user, vid, _, lat, lon in self.checkins:
+            seen = visitors.get(vid)
+            if seen is None:
+                coords[vid] = (lat, lon)
+                visitors[vid] = {user: 1}
+            else:
+                seen[user] = seen.get(user, 0) + 1
+        density = _venue_density(coords, DENSITY_RADIUS_M)
+        return {
+            vid: Venue(
+                venue_id=vid,
+                lat=lat,
+                lon=lon,
+                population=len(seen),
+                entropy=entropy_nats(seen.values()),
+                density=density[vid],
+            )
+            for (vid, (lat, lon)), seen in zip(coords.items(), visitors.values())
+        }
 
     def histories(self) -> dict[str, list[CheckIn]]:
         return histories_by_user(self.checkins)
@@ -86,6 +124,10 @@ class Dataset:
 def load_checkins(path: str | Path) -> list[CheckIn]:
     rows: list[CheckIn] = []
     append = rows.append
+    new = tuple.__new__
+    # each distinct pair of (lat, lon) strings, parsed, kept once it has
+    # passed its range checks; check-ins at one venue share its floats
+    pairs: dict[tuple[str, str], tuple[float, float]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -101,9 +143,24 @@ def load_checkins(path: str | Path) -> list[CheckIn]:
                     raise ParseError(f"expected 5 fields, got {len(row)}", reader.line_num)
                 user_id, venue_id, timestamp, lat, lon = row
                 try:
-                    append(CheckIn(user_id, venue_id, int(timestamp), float(lat), float(lon)))
+                    # CheckIn's checks, in its order; on a failure CheckIn
+                    # itself raises, so its messages stay the one statement
+                    ts = int(timestamp)
+                    pair = pairs.get((lat, lon))
+                    if pair is None:
+                        y, x = float(lat), float(lon)
+                        if not (
+                            0 <= ts <= _FLOAT_MAX and -90.0 <= y <= 90.0 and -180.0 <= x <= 180.0
+                        ):
+                            CheckIn(user_id, venue_id, ts, y, x)
+                        pairs[lat, lon] = (y, x)
+                    else:
+                        y, x = pair
+                        if not 0 <= ts <= _FLOAT_MAX:
+                            CheckIn(user_id, venue_id, ts, y, x)
                 except (ValueError, TypeError) as exc:
                     raise ParseError(str(exc), reader.line_num) from exc
+                append(new(CheckIn, (user_id, venue_id, ts, y, x)))
         except csv.Error as exc:
             raise ParseError(str(exc), reader.line_num) from None
         except UnicodeDecodeError:
@@ -199,43 +256,30 @@ def build_dataset(
     edges: Iterable[tuple[str, str]],
     config: IngestConfig | None = None,
 ) -> Dataset:
-    """Assemble a Dataset from in-memory records, deriving venue statistics."""
-    config = config or IngestConfig()
-    ordered = tuple(sorted(checkins, key=attrgetter("timestamp", "user_id", "venue_id")))
+    """Assemble a Dataset from in-memory records.
 
-    # one tally: venue coordinates, visitors per venue, check-ins per user
+    Repeat visits to a venue must agree on its coordinates; the venue
+    statistics are left to ``Dataset.venues``.
+    """
+    config = config or IngestConfig()
+    # (timestamp, user_id, venue_id)
+    ordered = tuple(sorted(checkins, key=itemgetter(2, 0, 1)))
+
+    # one loop: each venue's first coordinates, check-ins per user
     coords: dict[str, tuple[float, float]] = {}
-    visitors: dict[str, dict[str, int]] = {}
     per_user: dict[str, int] = {}
     for user, vid, _, lat, lon in ordered:
-        seen = visitors.get(vid)
-        if seen is None:
+        prev = coords.get(vid)
+        if prev is None:
             coords[vid] = (lat, lon)
-            visitors[vid] = {user: 1}
-        else:
-            prev = coords[vid]
-            # identical coordinates are 0 m apart: skip the trigonometry
-            if (lat, lon) != prev and haversine_km(prev[0], prev[1], lat, lon) * 1000.0 > 1.0:
-                raise IntegrityError(f"venue {vid!r} appears with conflicting coordinates")
-            seen[user] = seen.get(user, 0) + 1
+        # identical coordinates are 0 m apart: skip the trigonometry
+        elif (lat, lon) != prev and haversine_km(prev[0], prev[1], lat, lon) * 1000.0 > 1.0:
+            raise IntegrityError(f"venue {vid!r} appears with conflicting coordinates")
         per_user[user] = per_user.get(user, 0) + 1
 
-    density = _venue_density(coords, DENSITY_RADIUS_M)
-    venues = {
-        vid: Venue(
-            venue_id=vid,
-            lat=lat,
-            lon=lon,
-            population=len(seen),
-            entropy=entropy_nats(seen.values()),
-            density=density[vid],
-        )
-        for (vid, (lat, lon)), seen in zip(coords.items(), visitors.values())
-    }
     active = frozenset(u for u, n in per_user.items() if n >= config.activity_threshold)
     return Dataset(
         checkins=ordered,
-        venues=venues,
         graph=SocialGraph(edges, nodes=per_user),
         active_users=active,
         config=config,

@@ -80,6 +80,10 @@ class GenConfig:
             raise ConfigError("group_size must be an even number >= 4")
         if self.n_venues is not None and self.n_venues < self.min_venues(self):
             raise ConfigError(f"n_venues must be at least {self.min_venues(self)}")
+        if self.activity_threshold < 1:
+            raise ConfigError(
+                f"activity_threshold must be at least 1, got {self.activity_threshold}"
+            )
 
     @staticmethod
     def min_venues(cfg: "GenConfig") -> int:

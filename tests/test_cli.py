@@ -246,6 +246,25 @@ class TestPairsFile:
         record = json.loads(capsys.readouterr().err)
         assert record == {"error": "ParseError", "message": "line 2: not UTF-8"}
 
+    @pytest.mark.parametrize("measure", ["col", "scol", "scos", "srate"])
+    def test_user_without_check_ins_exits_5(self, corpus_dir, tmp_path, capsys, measure):
+        # the second row names a user that only the check-ins could vouch
+        # for; nothing is measured or written
+        pairs, out = tmp_path / "pairs.csv", tmp_path / "out.csv"
+        pairs.write_text("u0000,u0001\n\nu0002,u9999\nu9998,u0003\n")
+        code = run(
+            ["homophily", "--checkins", corpus_dir / "checkins.csv",
+             "--edges", corpus_dir / "edges.csv", "--activity-threshold", 5,
+             "--pairs", pairs, "--measure", measure, "--out", out]
+        )
+        assert code == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "NoData", "message": "line 3: user 'u9999' has no check-ins"
+        }
+        assert not out.exists()
+
 
 class TestStatsHomophilyCorrelate:
     def test_stats(self, corpus_dir, capsys):
@@ -430,6 +449,83 @@ class TestStatsHomophilyCorrelate:
         assert (outdir / "checkins.csv").read_bytes() == (
             corpus_dir / "checkins.csv"
         ).read_bytes()
+
+
+class TestVenueTableReads:
+    """Only the commands that report or weight by venue statistics build
+    the venue table (`Dataset.venues`)."""
+
+    @pytest.fixture
+    def loaded(self, monkeypatch):
+        datasets = []
+        load = cli.ingestion.load_dataset
+
+        def spy(*args):
+            datasets.append(load(*args))
+            return datasets[-1]
+
+        monkeypatch.setattr(cli.ingestion, "load_dataset", spy)
+        return datasets
+
+    @pytest.mark.parametrize(
+        "argv, builds",
+        [
+            (["stats"], True),
+            (["homophily", "--measure", "col", "--weight", "entropy"], True),
+            (["homophily", "--measure", "scos", "--weight", "density"], True),
+            (["homophily", "--measure", "srate", "--weight", "distance_from_home"], False),
+            (["homophily", "--measure", "scol"], False),
+            (["correlate", "--sample-size", 200, "--source", "global"], False),
+            (["correlate", "--sample-size", 200, "--source", "two_plex"], False),
+            (["correlate", "--sample-size", 200, "--source", "home_city"], False),
+            (["evaluate"], False),
+            (["train", "--user", "u0000"], False),
+        ],
+        ids=lambda v: "-".join(map(str, v)) if isinstance(v, list) else str(v),
+    )
+    def test_venue_table_built_only_when_read(
+        self, corpus_dir, tmp_path, capsys, loaded, argv, builds
+    ):
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("u0000,u0001\nu0002,u0003\n")
+        extra = ["--pairs", pairs] if argv[0] == "homophily" else []
+        assert run(
+            [*argv, "--checkins", corpus_dir / "checkins.csv",
+             "--edges", corpus_dir / "edges.csv", "--activity-threshold", 5, *extra]
+        ) == 0
+        capsys.readouterr()
+        [ds] = loaded
+        assert ("venues" in ds.__dict__) is builds
+
+
+class TestActivityThreshold:
+    @pytest.mark.parametrize(
+        "command", ["stats", "homophily", "correlate", "train", "evaluate", "ingest", "synth"]
+    )
+    @pytest.mark.parametrize("threshold", ["0", "-5"])
+    def test_below_one_exits_5_before_any_work(
+        self, corpus_dir, tmp_path, capsys, monkeypatch, command, threshold
+    ):
+        def no_load(*args):
+            raise AssertionError("the corpus was loaded")
+
+        monkeypatch.setattr(cli.ingestion, "load_dataset", no_load)
+        out = tmp_path / "out"
+        data = ["--checkins", corpus_dir / "checkins.csv", "--edges", corpus_dir / "edges.csv"]
+        extra = {
+            "homophily": ["--pairs", corpus_dir / "edges.csv", "--measure", "col"],
+            "train": ["--user", "u0000"],
+            "synth": ["--users", 24, "--days", 14],
+        }.get(command, [])
+        argv = [command, *([] if command == "synth" else data), *extra,
+                "--activity-threshold", threshold, "--out", out]
+        assert run(argv) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        record = json.loads(captured.err)
+        assert record["error"] == "ConfigError"
+        assert record["message"] == f"activity_threshold must be at least 1, got {threshold}"
+        assert not out.exists()
 
 
 class TestErrorsAndConfig:

@@ -6,7 +6,7 @@ from collections import deque
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from socmob import cohesion
 from socmob.core import (
@@ -18,7 +18,7 @@ from socmob.core import (
     haversine_km,
     user_entropy,
 )
-from socmob.errors import IntegrityError, NoData, ParseError, UnknownNode
+from socmob.errors import ConfigError, IntegrityError, NoData, ParseError, UnknownNode
 from socmob.ingestion import (
     CHECKIN_HEADER,
     DENSITY_RADIUS_M,
@@ -331,6 +331,41 @@ class TestStats:
             descriptive_stats(ds)
 
 
+class TestActivityThreshold:
+    @pytest.mark.parametrize("threshold", [0, -5])
+    def test_below_one_is_a_config_error(self, threshold):
+        with pytest.raises(ConfigError, match="^activity_threshold must be at least 1"):
+            IngestConfig(activity_threshold=threshold)
+
+    def test_one_counts_every_user_with_a_check_in(self, tmp_path):
+        cp, ep = tmp_path / "c.csv", tmp_path / "e.csv"
+        cp.write_text(CHECKIN_CSV)
+        ep.write_text("user_a,user_b\nc,d\n")
+        ds = load_dataset(cp, ep, IngestConfig(activity_threshold=1))
+        assert ds.active_users == {"a", "b", "c"}
+
+
+class TestVenueTable:
+    def test_built_on_first_read_and_kept(self, tmp_path):
+        cp, ep = tmp_path / "c.csv", tmp_path / "e.csv"
+        cp.write_text(CHECKIN_CSV)
+        ep.write_text(EDGE_CSV)
+        ds = load_dataset(cp, ep)
+        assert "venues" not in ds.__dict__
+        venues = ds.venues
+        assert list(venues) == ["v1", "v2"]
+        assert ds.venues is venues
+
+    def test_conflicting_coordinates_are_found_without_a_venue_read(self):
+        rows = [
+            make_checkin(venue="v", lat=37.70, lon=-122.40),
+            make_checkin(venue="w", ts=20, lat=1.0, lon=2.0),
+            make_checkin(venue="v", ts=50, lat=37.90, lon=-122.40),
+        ]
+        with pytest.raises(IntegrityError, match="^venue 'v' appears"):
+            build_dataset(rows, [])
+
+
 def test_dataset_from_strings(tmp_path):
     cp = tmp_path / "c.csv"
     ep = tmp_path / "e.csv"
@@ -371,6 +406,7 @@ def reference_load_checkins(path):
 
 
 def reference_build_dataset(checkins, edges, config):
+    """The dataset and, built apart from it, its venue table."""
     ordered = tuple(sorted(checkins, key=lambda c: (c.timestamp, c.user_id, c.venue_id)))
     coords = {}
     visitors = {}
@@ -399,7 +435,7 @@ def reference_build_dataset(checkins, edges, config):
     for ci in ordered:
         per_user[ci.user_id] = per_user.get(ci.user_id, 0) + 1
     active = frozenset(u for u, n in per_user.items() if n >= config.activity_threshold)
-    return Dataset(ordered, venues, graph, active, config)
+    return Dataset(ordered, graph, active, config), venues
 
 
 def reference_avg_path_length(g, sample_size, seed):
@@ -431,7 +467,7 @@ def reference_avg_path_length(g, sample_size, seed):
     return (mean, math.sqrt(max(total_sq / count - mean * mean, 0.0)))
 
 
-def reference_descriptive_stats(dataset, path_length_samples, seed):
+def reference_descriptive_stats(dataset, venues, path_length_samples, seed):
     histories = dataset.histories()
     g = dataset.graph
     per_venue_checkins = {}
@@ -452,7 +488,7 @@ def reference_descriptive_stats(dataset, path_length_samples, seed):
         "n_edges": g.edge_count,
         "n_active_users": len(dataset.active_users),
         "avg_degree": (2.0 * g.edge_count / len(g.nodes)) if len(g.nodes) else 0.0,
-        "n_locations": len(dataset.venues),
+        "n_locations": len(venues),
         "n_checkins": len(dataset.checkins),
         "avg_checkins_per_user_day": len(dataset.checkins) / max(len(histories), 1) / days,
         "clustering_coefficient": cohesion.clustering_coefficient(g) if len(g.nodes) else 0.0,
@@ -465,7 +501,7 @@ def reference_descriptive_stats(dataset, path_length_samples, seed):
         "avg_checkins_per_user_location": _mean_std(pair_counts),
         "avg_degree_of_repetition": _mean_std([c - 1.0 for c in pair_counts]),
         "avg_user_entropy": _mean_std([user_entropy(h) for h in histories.values()]),
-        "avg_location_entropy": _mean_std([v.entropy for v in dataset.venues.values()]),
+        "avg_location_entropy": _mean_std([v.entropy for v in venues.values()]),
     }
     if g.edge_count > 0:
         mean, std = reference_avg_path_length(g, path_length_samples, seed)
@@ -510,14 +546,14 @@ class TestAgainstReferenceLoader:
             rows = load_checkins(path)
             assert rows == reference_load_checkins(path)
         try:
-            expected = reference_build_dataset(rows, edges, config)
+            expected, venues = reference_build_dataset(rows, edges, config)
         except IntegrityError:
             with pytest.raises(IntegrityError):
                 build_dataset(rows, edges, config)
             return
         ds = build_dataset(rows, edges, config)
         assert ds.checkins == expected.checkins
-        assert list(ds.venues.items()) == list(expected.venues.items())
+        assert list(ds.venues.items()) == list(venues.items())
         assert ds.graph.nodes == expected.graph.nodes
         assert ds.graph.edge_count == expected.graph.edge_count
         assert {u: ds.graph.neighbors(u) for u in ds.graph.nodes} == {
@@ -526,7 +562,7 @@ class TestAgainstReferenceLoader:
         assert ds.active_users == expected.active_users
         if rows:
             stats = descriptive_stats(ds, path_length_samples=samples, seed=seed)
-            expected_stats = reference_descriptive_stats(expected, samples, seed)
+            expected_stats = reference_descriptive_stats(expected, venues, samples, seed)
             assert stats == expected_stats
             assert list(stats) == list(expected_stats)
 
@@ -548,3 +584,107 @@ class TestAgainstReferenceLoader:
         assert cohesion.avg_path_length(g, samples, seed) == reference_avg_path_length(
             g, samples, seed
         )
+
+
+# --- the loader's checks against CheckIn's -----------------------------------
+#
+# The loader parses each distinct coordinate pair once and checks rows
+# inline; it must accept and reject exactly what CheckIn does, and name the
+# same first fault of a row with several.
+
+TIMESTAMPS = ["0", "7", "1700000000", "-0", " 12", "-1", "1.5", "x", "", "9" * 310, "1e3"]
+GOOD_COORDS = ["0", "-0.0", "0.0", "37.75", "-122.45", "90", "-90", "180", "-180", "1e1"]
+BAD_COORDS = ["nan", "NaN", "inf", "-inf", "90.5", "-180.000001", "181", "1e999", "x", "", "1,5"]
+
+
+@st.composite
+def checkin_rows(draw):
+    """Rows whose faults may sit in several fields at once, with coordinate
+    strings often repeated verbatim from an earlier row."""
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        if rows and draw(st.integers(0, 2)) == 0:
+            lat, lon = draw(st.sampled_from(rows))[3:]
+        else:
+            lat, lon = (
+                draw(st.sampled_from(GOOD_COORDS * 4 + BAD_COORDS)) for _ in range(2)
+            )
+        ts = draw(st.sampled_from(TIMESTAMPS[:4] * 4 + TIMESTAMPS))
+        rows.append((draw(st.sampled_from("ab")), draw(st.sampled_from("vw")), ts, lat, lon))
+    return rows
+
+
+def per_row_reference(rows):
+    """The check-ins of ``rows``, and the (line, message) of the first row
+    that ``CheckIn`` rejects, if any."""
+    out = []
+    for line, (user, venue, ts, lat, lon) in enumerate(rows, start=2):
+        try:
+            out.append(CheckIn(user, venue, int(ts), float(lat), float(lon)))
+        except ValueError as exc:
+            return out, (line, str(exc))
+    return out, None
+
+
+def loader_pairs(exc):
+    """The coordinate cache of the ``load_checkins`` frame that raised."""
+    tb = exc.__traceback__
+    while tb.tb_frame.f_code is not load_checkins.__code__:
+        tb = tb.tb_next
+    return tb.tb_frame.f_locals["pairs"]
+
+
+class TestLoaderChecksAsCheckIn:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=checkin_rows())
+    @example(rows=[("a", "v", "x", "y", "1")])
+    @example(rows=[("a", "v", "1", "2", "3"), ("b", "w", "-1", "2", "3")])
+    def test_same_rows_and_same_first_fault(self, rows):
+        expected, fault = per_row_reference(rows)
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "c.csv"
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh).writerows([CHECKIN_HEADER, *rows])
+            if fault is None:
+                loaded = load_checkins(path)
+            else:
+                with pytest.raises(ParseError) as err:
+                    load_checkins(path)
+        if fault is not None:
+            line, message = fault
+            assert err.value.line_no == line
+            assert str(err.value) == f"line {line}: {message}"
+            # only pairs of rows that passed are kept, never the failing one's
+            # unless an earlier row that passed had it too
+            passed = {(lat, lon) for *_, lat, lon in rows[: line - 2]}
+            assert set(loader_pairs(err.value)) == passed
+            return
+        assert [repr(c) for c in loaded] == [repr(c) for c in expected]
+        assert all(type(c) is CheckIn for c in loaded)
+        first: dict[tuple[str, str], CheckIn] = {}
+        for raw, c in zip(rows, loaded):
+            seen = first.setdefault(raw[3:], c)
+            assert c.lat is seen.lat and c.lon is seen.lon
+
+    def test_a_cached_pair_still_checks_the_timestamp(self, tmp_path):
+        cp = tmp_path / "c.csv"
+        cp.write_text("user_id,venue_id,timestamp,lat,lon\na,v,1,2.5,3\na,v,-4,2.5,3\n")
+        with pytest.raises(ParseError) as err:
+            load_checkins(cp)
+        assert str(err.value) == "line 3: timestamp must be finite and >= 0, got -4"
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("x,y,3", "invalid literal for int() with base 10: 'x'"),
+            ("-4,y,3", "could not convert string to float: 'y'"),
+            ("-4,nan,3", "timestamp must be finite and >= 0, got -4"),
+            ("4,nan,inf", "lat must be finite with |lat| <= 90, got nan"),
+        ],
+    )
+    def test_the_first_fault_of_a_row_is_named(self, tmp_path, row, message):
+        cp = tmp_path / "c.csv"
+        cp.write_text(f"user_id,venue_id,timestamp,lat,lon\na,v,{row}\n")
+        with pytest.raises(ParseError) as err:
+            load_checkins(cp)
+        assert str(err.value) == f"line 2: {message}"

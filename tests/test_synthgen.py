@@ -116,6 +116,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             small_cfg(n_venues=10)
 
+    @pytest.mark.parametrize("threshold", [0, -3])
+    def test_activity_threshold_below_one(self, threshold):
+        with pytest.raises(ConfigError, match="^activity_threshold must be at least 1"):
+            small_cfg(activity_threshold=threshold)
+
+
+def test_generated_dataset_builds_no_venue_table():
+    ds, _ = generate(small_cfg())
+    assert "venues" not in ds.__dict__
+
 
 def test_write_corpus_formats(tmp_path):
     ds, truth = generate(small_cfg())
