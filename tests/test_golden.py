@@ -1,6 +1,6 @@
 """Golden regression test: `evaluate`'s report JSON and prediction rows, and
-`socmob train`'s context-tree dumps, stay byte-identical on a small fixed
-corpus.
+`socmob train`'s context-tree dumps and `socmob cohesion`'s subgroup lines,
+stay byte-identical on a small fixed corpus.
 
 The corpus is ``synth``'s planted-influence generator at a fixed seed,
 committed as CSV; ``test_generator_reproduces_corpus`` checks that the
@@ -55,6 +55,14 @@ TREES = {
     "tree_u0002.json": ["--user", "u0002"],
     "tree_u0015_slot6.json": ["--user", "u0015", "--slot-hours", "6"],
 }
+# `socmob cohesion` over the corpus's friendship graph, by file name: every
+# maximal clique, every maximal 2-plex, and the 2-plex search cut off after
+# five groups
+SUBGROUPS = {
+    "cliques.jsonl": ["--cliques"],
+    "plexes.jsonl": ["--plexes"],
+    "plexes_max5.jsonl": ["--plexes", "--max-count", "5"],
+}
 
 
 def _dataset():
@@ -74,6 +82,10 @@ def _train(args: list[str], out: Path) -> int:
         *args,
         "--out", str(out),
     ])
+
+
+def _cohesion(args: list[str], out: Path) -> int:
+    return main(["cohesion", "--graph", str(DATA / "edges.csv"), *args, "--out", str(out)])
 
 
 def _outputs(dataset, config: SostConfig) -> tuple[str, str]:
@@ -112,6 +124,13 @@ def test_train_dump_unchanged(tmp_path, name):
     assert out.read_bytes() == (DATA / name).read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(SUBGROUPS))
+def test_cohesion_unchanged(tmp_path, name):
+    out = tmp_path / name
+    assert _cohesion(SUBGROUPS[name], out) == 0
+    assert out.read_bytes() == (DATA / name).read_bytes()
+
+
 @pytest.mark.parametrize("estimator", sorted(TRACED_PEAK_BOUND))
 def test_evaluate_traced_peak(dataset, estimator):
     # evaluate imports the p-value's modules on first use; load them first,
@@ -138,6 +157,8 @@ def _write() -> None:
         (DATA / f"predictions_{case}.jsonl").write_text(rows, encoding="utf-8")
     for name, args in TREES.items():
         _train(args, DATA / name)
+    for name, args in SUBGROUPS.items():
+        _cohesion(args, DATA / name)
 
 
 if __name__ == "__main__":
