@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -17,7 +18,7 @@ from pathlib import Path
 from . import cohesion as cohesion_mod
 from . import correlation as correlation_mod
 from . import evaluation, ingestion, sost, synthgen
-from .core import VENUE_WEIGHT_KINDS, WEIGHT_KINDS, SocialGraph
+from .core import VENUE_WEIGHT_KINDS, WEEKEND, WEIGHT_KINDS, WORKDAY, SocialGraph
 from .errors import (
     ConfigError,
     DegenerateInput,
@@ -148,6 +149,21 @@ def _out(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _csv_text(header: tuple[str, ...], rows) -> str:
+    """A header and rows of strings as CSV text with ``\n`` line ends,
+    quoting a field only where it holds a delimiter, a quote or a line
+    break, so that `csv.reader` reads back the same fields."""
+    rows = [header, *rows]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    if "\r" in buf.getvalue():
+        # the writer quotes a line break only when it is in its line
+        # terminator, so text with a carriage return has every field quoted
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows(rows)
+    return buf.getvalue()
+
+
 def _cmd_ingest(args) -> int:
     ds = _load(args)
     outdir = Path(args.out)
@@ -183,7 +199,7 @@ def _cmd_homophily(args) -> int:
                 raise NoData(f"line {line}: user {user!r} has no check-ins")
     scheme = homophily.WeightScheme(kind=args.weight)
     venues = ds.venues if args.weight in VENUE_WEIGHT_KINDS else None
-    lines = ["user_a,user_b,value"]
+    rows = []
     for _, a, b in pairs:
         ia, ib = index[a], index[b]
         if args.measure == "col":
@@ -194,8 +210,8 @@ def _cmd_homophily(args) -> int:
             val = homophily.spatial_cosine(ia, ib, scheme=scheme, venues=venues)
         else:
             val = homophily.social_situation_rate(ia, ib, scheme=scheme, venues=venues)
-        lines.append(f"{a},{b},{val!r}")
-    _out("\n".join(lines) + "\n", args.out)
+        rows.append((a, b, repr(val)))
+    _out(_csv_text(("user_a", "user_b", "value"), rows), args.out)
     return 0
 
 
@@ -228,8 +244,7 @@ def _cmd_correlate(args) -> int:
         population = _home_city_users(histories, radius_km=args.home_radius_km)
     elif args.source == "two_plex":
         # the pairs need only the members, not each group's cohesion
-        members, _ = cohesion_mod._two_plex_members(ds.graph, min_size=3)
-        subgroups = [sorted(m) for m in members]
+        subgroups = cohesion_mod.two_plex_member_names(ds.graph, min_size=3)
     sample = correlation_mod.sample_pairs(
         population, args.sample_size, source=args.source, seed=args.seed, subgroups=subgroups
     )
@@ -374,18 +389,26 @@ def _read_report(path: str) -> dict:
     hours = data.get("per_hour_shares", {})
     if not isinstance(hours, dict) or not all(isinstance(v, list) for v in hours.values()):
         raise ParseError("report: per_hour_shares must map day classes to lists")
+    for day_class, shares in hours.items():
+        if day_class not in (WORKDAY, WEEKEND):
+            raise ParseError(f"report: per_hour_shares: unknown day class {day_class!r}")
+        bad = [h for h, share in enumerate(shares) if not _is_finite_number(share)]
+        if bad:
+            raise ParseError(
+                f"report: per_hour_shares[{day_class!r}]: not a finite number at hour {bad[0]}"
+            )
     return data
 
 
 def _cmd_report(args) -> int:
     data = _read_report(args.eval)
     rows = data.get("per_user", [])
-    lines = [",".join(_PER_USER_FIELDS)]
-    for row in rows:
-        lines.append(",".join(str(row[k]) for k in _PER_USER_FIELDS))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "per_user.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (outdir / "per_user.csv").write_text(
+        _csv_text(_PER_USER_FIELDS, ([str(row[k]) for k in _PER_USER_FIELDS] for row in rows)),
+        encoding="utf-8",
+    )
     try:
         breakdowns = evaluation.improvement_breakdowns(rows)
     except NoData:
@@ -395,11 +418,14 @@ def _cmd_report(args) -> int:
             evaluation.breakdowns_to_csv(breakdowns), encoding="utf-8"
         )
     hours = data.get("per_hour_shares", {})
-    hlines = ["day_class,hour,share"]
-    for day_class in sorted(hours):
-        for h, share in enumerate(hours[day_class]):
-            hlines.append(f"{day_class},{h},{share!r}")
-    (outdir / "per_hour.csv").write_text("\n".join(hlines) + "\n", encoding="utf-8")
+    hour_rows = (
+        (day_class, str(h), repr(share))
+        for day_class in sorted(hours)
+        for h, share in enumerate(hours[day_class])
+    )
+    (outdir / "per_hour.csv").write_text(
+        _csv_text(("day_class", "hour", "share"), hour_rows), encoding="utf-8"
+    )
     summary = {
         k: data.get(k)
         for k in (

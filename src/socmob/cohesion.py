@@ -2,9 +2,8 @@
 
 Pairwise metrics (common neighbors, Adamic-Adar, Jaccard, degree of
 cliquishness), whole-graph baselines (clustering coefficient, sampled
-path length, Poisson random graphs), maximal clique and 2-plex
-enumeration, and the internal/boundary density ratio used to score
-subgroups.
+path length), maximal clique and 2-plex enumeration, and the
+internal/boundary density ratio used to score subgroups.
 """
 
 from __future__ import annotations
@@ -12,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Iterator, Sequence
 
 from .core import SocialGraph
@@ -153,26 +153,6 @@ def avg_path_length(
     return (mean, math.sqrt(var))
 
 
-def poisson_random_graph(n: int, avg_degree: float, seed: int = 0) -> SocialGraph:
-    """Erdős–Rényi G(n, p) with p chosen to match the target average degree."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if not 0 <= avg_degree <= n - 1:
-        raise ValueError(f"avg_degree must be in [0, n-1], got {avg_degree}")
-    p = avg_degree / (n - 1)
-    rng = random.Random(seed)
-    names = [f"n{i}" for i in range(n)]
-    edges = []
-    if p >= 1.0:
-        edges = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)]
-    elif p > 0.0:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < p:
-                    edges.append((names[i], names[j]))
-    return SocialGraph(edges, nodes=names)
-
-
 # --- vertex bitmasks ----------------------------------------------------------
 #
 # Both enumerators index the vertices in sorted name order: vertex i is bit i,
@@ -200,8 +180,40 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _names(nodes: list[str], mask: int) -> frozenset[str]:
-    return frozenset(nodes[i] for i in _bits(mask))
+def _named(
+    nodes: list[str], adj: list[int], found: list[int], min_size: int
+) -> list[tuple[tuple[str, ...], int, int]]:
+    """The vertex sets of ``found`` with at least ``min_size`` members,
+    ordered by size and then by names.  Each comes as its names in sorted
+    order (ascending bit order is name order), its members' in-group
+    degrees summed, and their degrees summed."""
+    named = []
+    for m in found:
+        if m.bit_count() < min_size:
+            continue
+        names = []
+        internal = total = 0
+        for i in _bits(m):
+            names.append(nodes[i])
+            internal += (adj[i] & m).bit_count()
+            total += adj[i].bit_count()
+        named.append((tuple(names), internal, total))
+    named.sort(key=lambda entry: (len(entry[0]), entry[0]))
+    return named
+
+
+def _subgroups(
+    nodes: list[str], adj: list[int], found: list[int], min_size: int, kind: str
+) -> list[Subgroup]:
+    """The subgroups of ``found``, smallest first, each scored from its
+    mask: the in-group degrees give the internal count, and the rest of
+    the degrees the boundary count."""
+    groups = []
+    for names, internal, total in _named(nodes, adj, found, min_size):
+        n_in = len(names)
+        cohesion = _cohesion_ratio(n_in, len(nodes) - n_in, internal, total - internal)
+        groups.append(Subgroup(members=frozenset(names), kind=kind, cohesion=cohesion))
+    return groups
 
 
 # --- maximal clique enumeration (Bron–Kerbosch with pivoting) ---------------
@@ -237,15 +249,7 @@ def enumerate_cliques(
     nodes, adj = _bit_adjacency(g)
     found: list[int] = []
     complete = _bron_kerbosch(adj, 0, (1 << len(nodes)) - 1, 0, found, max_count)
-    members = sorted(
-        (m for m in (_names(nodes, r) for r in found) if len(m) >= min_size),
-        key=lambda m: (len(m), sorted(m)),
-    )
-    groups = [
-        Subgroup(members=m, kind="clique", cohesion=_safe_cohesion(g, m))
-        for m in members
-    ]
-    return groups, not complete
+    return _subgroups(nodes, adj, found, min_size, "clique"), not complete
 
 
 def _check_limits(min_size: int, max_count: int | None) -> None:
@@ -257,13 +261,6 @@ def _check_limits(min_size: int, max_count: int | None) -> None:
         raise ValueError(f"max_count must be >= 0, got {max_count}")
 
 
-def _safe_cohesion(g: SocialGraph, members: frozenset[str]) -> float:
-    # a subgroup spanning the whole graph has no boundary at all
-    if members == g.nodes:
-        return math.inf
-    return group_cohesion(g, members)
-
-
 # --- maximal 2-plex enumeration ---------------------------------------------
 
 
@@ -271,7 +268,8 @@ def _plex_extend(
     adj: list[int],
     members: int,
     common: int,
-    without: dict[int, int],
+    one: int,
+    unsat: int,
     cand: int,
     excl: int,
     min_size: int,
@@ -280,37 +278,78 @@ def _plex_extend(
 ) -> bool:
     """Grow the 2-plex ``members`` by the viable vertices of ``cand``.
 
-    ``common`` holds the vertices adjacent to every member and
-    ``without[u]`` those adjacent to every member except ``u``.  A vertex
-    can join when it misses at most one member ``u`` and ``u`` misses no
-    other member, which holds exactly when ``u`` is in ``without[u]``.
+    A vertex misses a member when it is not adjacent to it, and a member
+    misses itself.  ``common`` holds the vertices that miss no member,
+    ``one`` those that miss exactly one, and ``unsat`` the members that
+    miss no other member.  A vertex can join when it misses no member, or
+    misses one member and that member is in ``unsat``: that is, when it is
+    in ``one`` and not adjacent to every member of ``unsat``.
     """
     if cap is not None and len(out) >= cap:
         return False
-    viable = common
-    for u, w in without.items():
-        if w >> u & 1:
-            viable |= w & ~adj[u]
-    viable &= ~members
+    both = -1  # the vertices adjacent to every member of unsat
+    rest = unsat
+    while rest:
+        low = rest & -rest
+        both &= adj[low.bit_length() - 1]
+        rest ^= low
+    viable = (common | one & ~both) & ~members
     grow = viable & cand
+    # every set this subtree reaches lies within members | grow
+    if members.bit_count() + grow.bit_count() < min_size:
+        return True
     if not grow:
         # no candidate extends the set; it is maximal unless an excluded
         # vertex (one whose supersets were searched already) still would
-        if members.bit_count() >= min_size and not viable & excl:
+        if not viable & excl:
             out.append(members)
         return True
     later = grow
-    for v in _bits(grow):
-        nv = adj[v]
-        later ^= 1 << v
-        child = {u: w & nv for u, w in without.items()}
-        child[v] = common
+    while later:
+        bit = later & -later
+        later ^= bit
+        nv = adj[bit.bit_length() - 1]
         if not _plex_extend(
-            adj, members | 1 << v, common & nv, child, later, excl, min_size, out, cap
+            adj,
+            members | bit,
+            common & nv,
+            one & nv | common & ~nv,
+            unsat & nv | common & bit,
+            later,
+            excl,
+            min_size,
+            out,
+            cap,
         ):
             return False
-        excl |= 1 << v
+        excl |= bit
     return True
+
+
+def _two_plex_masks(
+    adj: list[int], min_size: int, max_count: int | None
+) -> tuple[list[int], bool]:
+    """The maximal 2-plexes with at least ``min_size`` members, as vertex
+    masks in the order the search finds them.
+
+    Depth-first search over vertex bitmasks that adds members in ascending
+    name order, so it reaches each vertex set at most once (from its
+    smallest member); 2-plexes are closed under subsets, so any proper
+    superset is reachable one vertex at a time and the no-extender test
+    at a leaf guarantees maximality.  Returns (masks, truncated).
+    """
+    everyone = (1 << len(adj)) - 1
+    found: list[int] = []
+    for v in range(len(adj)):
+        # a lone vertex misses only itself, so every other vertex can join it
+        bit = 1 << v
+        earlier = bit - 1
+        later = everyone ^ earlier ^ bit
+        if not _plex_extend(
+            adj, bit, adj[v], everyone ^ adj[v], bit, later, earlier, min_size, found, max_count
+        ):
+            return found, True
+    return found, False
 
 
 def enumerate_two_plexes(
@@ -319,58 +358,34 @@ def enumerate_two_plexes(
     """All maximal 2-plexes with at least ``min_size`` members, each with
     its cohesion, smallest first.  Returns (subgroups, truncated)."""
     _check_limits(min_size, max_count)
-    members, truncated = _two_plex_members(g, min_size, max_count)
-    groups = [
-        Subgroup(members=m, kind="two_plex", cohesion=_safe_cohesion(g, m)) for m in members
-    ]
-    return groups, truncated
-
-
-def _two_plex_members(
-    g: SocialGraph, min_size: int = 3, max_count: int | None = None
-) -> tuple[list[frozenset[str]], bool]:
-    """The member sets of the maximal 2-plexes with at least ``min_size``
-    members, ordered by size and then by sorted names.
-
-    Depth-first search over vertex bitmasks that adds members in ascending
-    name order, so it reaches each vertex set at most once (from its
-    smallest member); 2-plexes are closed under subsets, so any proper
-    superset is reachable one vertex at a time and the no-extender test
-    at a leaf guarantees maximality.  Returns (member sets, truncated).
-    """
     nodes, adj = _bit_adjacency(g)
-    everyone = (1 << len(nodes)) - 1
-    found: list[int] = []
-    complete = True
-    for v in range(len(nodes)):
-        # a lone vertex misses no one, so every other vertex can join it
-        earlier = (1 << v) - 1
-        later = everyone ^ earlier ^ (1 << v)
-        if not _plex_extend(
-            adj, 1 << v, adj[v], {v: everyone}, later, earlier, min_size, found, max_count
-        ):
-            complete = False
-            break
-    members = sorted((_names(nodes, m) for m in found), key=lambda m: (len(m), sorted(m)))
-    return members, not complete
+    found, truncated = _two_plex_masks(adj, min_size, max_count)
+    return _subgroups(nodes, adj, found, min_size, "two_plex"), truncated
 
 
-def is_clique(g: SocialGraph, members: frozenset[str] | set[str]) -> bool:
-    ms = sorted(members)
-    for i, a in enumerate(ms):
-        na = g.neighbors(a)
-        for b in ms[i + 1 :]:
-            if b not in na:
-                return False
-    return True
+def two_plex_member_names(g: SocialGraph, min_size: int = 3) -> list[tuple[str, ...]]:
+    """The members of every maximal 2-plex with at least ``min_size``
+    members, each in sorted order, ordered as `enumerate_two_plexes` orders
+    its subgroups; no cohesion is computed."""
+    _check_limits(min_size, None)
+    nodes, adj = _bit_adjacency(g)
+    found, _ = _two_plex_masks(adj, min_size, None)
+    return [names for names, _, _ in _named(nodes, adj, found, min_size)]
 
 
-def is_two_plex(g: SocialGraph, members: frozenset[str] | set[str]) -> bool:
-    size = len(members)
-    for u in members:
-        if len(g.neighbors(u) & members) < size - 2:
-            return False
-    return True
+def _cohesion_ratio(n_in: int, n_out: int, internal: int, boundary: int) -> float:
+    """Internal over boundary edge density, from a group's size, the number
+    of vertices outside it, its ordered in-group pair count and its
+    group-to-outside edge count; +inf when it has no boundary edges, as
+    when it spans the whole graph."""
+    # internal already counts ordered pairs (each edge twice)
+    num = internal / (n_in * (n_in - 1))
+    if boundary == 0:
+        return math.inf
+    boundary_norm = n_in * (n_out - 1)
+    if boundary_norm == 0:
+        return 0.0
+    return num / (boundary / boundary_norm)
 
 
 def group_cohesion(g: SocialGraph, members: frozenset[str] | set[str]) -> float:
@@ -394,25 +409,23 @@ def group_cohesion(g: SocialGraph, members: frozenset[str] | set[str]) -> float:
         nu = g.neighbors(u)
         internal += len(nu & members)
         boundary += len(nu - members)
-    # internal already counts ordered pairs (each edge twice)
-    num = internal / (n_in * (n_in - 1))
-    if boundary == 0:
-        return math.inf
-    boundary_norm = n_in * (len(outside) - 1)
-    if boundary_norm == 0:
-        return 0.0
-    return num / (boundary / boundary_norm)
+    return _cohesion_ratio(n_in, len(outside), internal, boundary)
+
+
+def _json_number(x: float) -> str:
+    """``x`` as `json.dumps` writes it, with an infinity as null."""
+    if math.isinf(x):
+        return "null"
+    return "NaN" if x != x else repr(x)
 
 
 def subgroups_to_jsonl(groups: Sequence[Subgroup]) -> Iterator[str]:
-    import json
-
+    """One JSON object per subgroup, as ``json.dumps(..., sort_keys=True)``
+    writes ``{"members": sorted names, "kind": ..., "cohesion": ...}`` with
+    an infinite cohesion as null."""
     for sg in groups:
-        yield json.dumps(
-            {
-                "members": sorted(sg.members),
-                "kind": sg.kind,
-                "cohesion": None if math.isinf(sg.cohesion) else sg.cohesion,
-            },
-            sort_keys=True,
+        names = ", ".join(map(encode_basestring_ascii, sorted(sg.members)))
+        yield (
+            f'{{"cohesion": {_json_number(sg.cohesion)}, '
+            f'"kind": {encode_basestring_ascii(sg.kind)}, "members": [{names}]}}'
         )

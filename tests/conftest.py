@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from socmob.core import CheckIn
+from socmob.core import CheckIn, SocialGraph
 from socmob.synthgen import GenConfig, generate
 from socmob.vomm import calendar_keys
 
@@ -15,6 +15,44 @@ def situation_path(venue, temporal):
     """The keys of a situation's nodes in a social tree: the venue, then
     the day-class, day and cell keys of its calendar context."""
     return (venue, *calendar_keys(temporal))
+
+
+def poisson_random_graph(n: int, avg_degree: float, seed: int = 0) -> SocialGraph:
+    """Erdős–Rényi G(n, p) with p chosen to match the target average degree."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    if not 0 <= avg_degree <= n - 1:
+        raise ValueError(f"avg_degree must be in [0, n-1], got {avg_degree}")
+    p = avg_degree / (n - 1)
+    rng = random.Random(seed)
+    names = [f"n{i}" for i in range(n)]
+    edges = []
+    if p >= 1.0:
+        edges = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)]
+    elif p > 0.0:
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < p:
+                    edges.append((names[i], names[j]))
+    return SocialGraph(edges, nodes=names)
+
+
+def is_clique(g: SocialGraph, members: frozenset[str] | set[str]) -> bool:
+    ms = sorted(members)
+    for i, a in enumerate(ms):
+        na = g.neighbors(a)
+        for b in ms[i + 1 :]:
+            if b not in na:
+                return False
+    return True
+
+
+def is_two_plex(g: SocialGraph, members: frozenset[str] | set[str]) -> bool:
+    size = len(members)
+    for u in members:
+        if len(g.neighbors(u) & members) < size - 2:
+            return False
+    return True
 
 
 def random_history(rng, user, venues, n, t0=1_000_000, spread=None, coords=None):

@@ -16,9 +16,6 @@ from socmob.cohesion import (
     clustering_coefficient,
     enumerate_cliques,
     enumerate_two_plexes,
-    is_clique,
-    is_two_plex,
-    poisson_random_graph,
 )
 from socmob.core import CheckIn, WEEK_SECONDS
 from socmob.errors import DegenerateInput
@@ -29,7 +26,7 @@ from socmob.sost import SostConfig, drift_factor
 from socmob.synthgen import GenConfig, generate
 from socmob.vomm import ContextTree, TreeConfig, escape_chain
 
-from conftest import random_history
+from conftest import is_clique, is_two_plex, poisson_random_graph, random_history
 from test_cohesion import brute_force_maximal, random_graph
 from test_homophily import oracle_colocation, oracle_cosine, oracle_situation_rate
 from test_vomm import PpmOracle, routed_outside_mass

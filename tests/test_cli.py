@@ -266,6 +266,90 @@ class TestPairsFile:
         assert not out.exists()
 
 
+# user ids that a CSV row must quote: a delimiter, a quote, line breaks
+ODD_IDS = {"u0000": "x,y", "u0001": 'say "hi"', "u0002": "two\nlines", "u0003": "cr\rid"}
+
+
+@pytest.fixture(scope="module")
+def odd_corpus_dir(corpus_dir, tmp_path_factory):
+    """The CLI corpus with four users renamed to ``ODD_IDS``."""
+    out = tmp_path_factory.mktemp("odd_corpus")
+    for name in ("checkins.csv", "edges.csv"):
+        with open(corpus_dir / name, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        with open(out / name, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(
+                [rows[0]] + [[ODD_IDS.get(f, f) for f in row] for row in rows[1:]]
+            )
+    return out
+
+
+def read_csv(path: Path) -> list[list[str]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+class TestCsvOutputsRoundTrip:
+    """Each CSV a command writes reads back with `csv.reader` as the fields
+    it holds, whatever the user ids contain."""
+
+    def test_ingest(self, odd_corpus_dir, tmp_path):
+        assert run(
+            ["ingest", "--checkins", odd_corpus_dir / "checkins.csv",
+             "--edges", odd_corpus_dir / "edges.csv", "--out", tmp_path]
+        ) == 0
+        checkins, edges = read_csv(tmp_path / "checkins.csv"), read_csv(tmp_path / "edges.csv")
+        assert all(len(row) == 5 for row in checkins) and all(len(row) == 2 for row in edges)
+        assert set(ODD_IDS.values()) <= {row[0] for row in checkins[1:]}
+        assert set(ODD_IDS.values()) <= {user for row in edges[1:] for user in row}
+
+    @pytest.mark.parametrize("measure", ["col", "scol", "scos", "srate"])
+    def test_homophily(self, odd_corpus_dir, tmp_path, measure):
+        pairs, out = tmp_path / "pairs.csv", tmp_path / "out.csv"
+        wanted = [("x,y", 'say "hi"'), ("two\nlines", "cr\rid"), ("u0004", "x,y")]
+        with open(pairs, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(wanted)
+        assert run(
+            ["homophily", "--checkins", odd_corpus_dir / "checkins.csv",
+             "--edges", odd_corpus_dir / "edges.csv", "--activity-threshold", 5,
+             "--pairs", pairs, "--measure", measure, "--out", out]
+        ) == 0
+        rows = read_csv(out)
+        assert rows[0] == ["user_a", "user_b", "value"]
+        assert [tuple(row[:2]) for row in rows[1:]] == wanted
+        assert all(len(row) == 3 and float(row[2]) >= 0.0 for row in rows[1:])
+
+    def test_evaluate_then_report(self, odd_corpus_dir, tmp_path):
+        rep, outdir = tmp_path / "report.json", tmp_path / "expanded"
+        assert run(
+            ["evaluate", "--checkins", odd_corpus_dir / "checkins.csv",
+             "--edges", odd_corpus_dir / "edges.csv", "--activity-threshold", 5,
+             "--out", rep]
+        ) == 0
+        assert run(["report", "--eval", rep, "--out", outdir]) == 0
+        data = json.loads(rep.read_text(encoding="utf-8"))
+        rows = read_csv(outdir / "per_user.csv")
+        assert rows[0] == list(cli._PER_USER_FIELDS)
+        assert [row[0] for row in rows[1:]] == [r["user"] for r in data["per_user"]]
+        assert set(ODD_IDS.values()) <= {row[0] for row in rows[1:]}
+        assert all(len(row) == len(cli._PER_USER_FIELDS) for row in rows)
+        hours = read_csv(outdir / "per_hour.csv")
+        assert hours[0] == ["day_class", "hour", "share"]
+        assert len(hours) == 1 + 48 and all(len(row) == 3 for row in hours)
+
+    def test_plain_ids_are_not_quoted(self, corpus_dir, tmp_path):
+        pairs, out = tmp_path / "pairs.csv", tmp_path / "out.csv"
+        pairs.write_text("u0000,u0001\n")
+        assert run(
+            ["homophily", "--checkins", corpus_dir / "checkins.csv",
+             "--edges", corpus_dir / "edges.csv", "--activity-threshold", 5,
+             "--pairs", pairs, "--measure", "col", "--out", out]
+        ) == 0
+        header, row = out.read_text(encoding="utf-8").splitlines()
+        assert header == "user_a,user_b,value"
+        assert row.startswith("u0000,u0001,") and '"' not in row
+
+
 class TestStatsHomophilyCorrelate:
     def test_stats(self, corpus_dir, capsys):
         assert run(
@@ -680,9 +764,19 @@ class TestReportErrors:
                 "improvement": 0.0, "situation_rate": 0.0, "degree": 1, "entropy": float("nan"),
                 "n_locations": 1, "influencers": 0,
             }]}),
+            '{"per_hour_shares": {"workday": [0.5, "x"]}}',
+            '{"per_hour_shares": {"workday": [null]}}',
+            '{"per_hour_shares": {"weekend": [{"a": 1}]}}',
+            '{"per_hour_shares": {"weekend": [0.25, NaN]}}',
+            '{"per_hour_shares": {"workday": [Infinity]}}',
+            '{"per_hour_shares": {"workday": [true]}}',
+            '{"per_hour_shares": {"holiday": [0.5]}}',
+            '{"per_hour_shares": {"work\\nday": [0.5]}}',
         ],
         ids=["missing-key", "row-not-object", "rows-not-list", "hours-not-lists",
-             "not-object", "not-json", "field-not-a-number", "field-not-finite"],
+             "not-object", "not-json", "field-not-a-number", "field-not-finite",
+             "share-string", "share-null", "share-object", "share-nan", "share-infinite",
+             "share-bool", "day-class-unknown", "day-class-newline"],
     )
     def test_bad_report_is_a_parse_error(self, tmp_path, capsys, text):
         bad = tmp_path / "report.json"

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from itertools import combinations
@@ -5,6 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from socmob import cohesion
 from socmob.cohesion import (
     Subgroup,
     adamic_adar,
@@ -15,13 +17,14 @@ from socmob.cohesion import (
     enumerate_cliques,
     enumerate_two_plexes,
     group_cohesion,
-    is_clique,
-    is_two_plex,
     jaccard_users,
-    poisson_random_graph,
+    subgroups_to_jsonl,
+    two_plex_member_names,
 )
 from socmob.core import SocialGraph
 from socmob.errors import UnknownNode
+
+from conftest import is_clique, is_two_plex, poisson_random_graph
 
 
 def complete_graph(n):
@@ -422,6 +425,94 @@ class TestGroupCohesion:
             group_cohesion(g, {"n0"})
         with pytest.raises(ValueError):
             group_cohesion(g, set(g.nodes))
+
+
+class TestMaskScores:
+    """Subgroups are scored from their vertex masks, float for float as
+    `group_cohesion` scores their member sets."""
+
+    @staticmethod
+    def _scores(g, groups):
+        nodes, adj = cohesion._bit_adjacency(g)
+        bit = {v: 1 << i for i, v in enumerate(nodes)}
+        masks = [sum(bit[v] for v in m) for m in groups]
+        return cohesion._subgroups(nodes, adj, masks, 3, "two_plex")
+
+    def test_random_groups_match_group_cohesion(self):
+        rng = random.Random(21)
+        for trial in range(150):
+            n = rng.randrange(3, 16)
+            g = random_graph(rng, n, rng.choice([0.1, 0.3, 0.6, 0.9]))
+            nodes = sorted(g.nodes)
+            groups = list(
+                {frozenset(rng.sample(nodes, rng.randrange(3, n + 1))) for _ in range(6)}
+            )
+            got = self._scores(g, groups)
+            # ordered by size, then by sorted names
+            assert [sg.members for sg in got] == sorted(
+                groups, key=lambda m: (len(m), sorted(m))
+            )
+            for sg in got:
+                want = _reference_cohesion(g, sg.members)
+                assert repr(sg.cohesion) == repr(want), (trial, sorted(sg.members))
+
+    def test_special_cases(self):
+        # a triangle with one pendant vertex d and an isolated vertex e
+        g = SocialGraph([("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")], nodes=["e"])
+        whole, no_boundary, one_outside = (frozenset(m) for m in ("abcde", "abcd", "abce"))
+        scored = self._scores(g, [whole, no_boundary, one_outside])
+        got = {sg.members: sg.cohesion for sg in scored}
+        # the whole graph and a group with no boundary edge score +inf; with
+        # one vertex outside, the boundary norm |U|(|V\\U|-1) is zero
+        assert got == {whole: math.inf, no_boundary: math.inf, one_outside: 0.0}
+        assert group_cohesion(g, one_outside) == 0.0
+        triangle = SocialGraph([("a", "b"), ("b", "c"), ("a", "c")], nodes=["d", "e"])
+        (sg,) = self._scores(triangle, [frozenset("abc")])
+        assert sg.cohesion == group_cohesion(triangle, {"a", "b", "c"}) == math.inf
+
+    def test_member_names_follow_the_subgroups(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            g = random_graph(rng, rng.randrange(3, 14), rng.uniform(0.2, 0.8))
+            for min_size in (3, 4):
+                groups, _ = enumerate_two_plexes(g, min_size=min_size)
+                assert two_plex_member_names(g, min_size) == [
+                    tuple(sorted(sg.members)) for sg in groups
+                ]
+
+
+def _dumps_line(sg):
+    return json.dumps(
+        {
+            "members": sorted(sg.members),
+            "kind": sg.kind,
+            "cohesion": None if math.isinf(sg.cohesion) else sg.cohesion,
+        },
+        sort_keys=True,
+    )
+
+
+class TestJsonLines:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        names=st.lists(st.text(min_size=1, max_size=6), min_size=3, max_size=6, unique=True),
+        kind=st.sampled_from(["clique", "two_plex"]),
+        score=st.floats() | st.integers(-5, 5),
+    )
+    def test_matches_json_dumps(self, names, kind, score):
+        sg = Subgroup(members=frozenset(names), kind=kind, cohesion=score)
+        assert list(subgroups_to_jsonl([sg])) == [_dumps_line(sg)]
+
+    def test_escaped_names(self):
+        names = ['caf\u00e9', 'say "hi"', "back\\slash", "tab\there", "nul\x00\x1f", "\U0001f600"]
+        groups = [
+            Subgroup(members=frozenset(names), kind="two_plex", cohesion=1.5),
+            Subgroup(members=frozenset(names[:3]), kind="clique", cohesion=math.inf),
+            Subgroup(members=frozenset(names[3:]), kind="clique", cohesion=0.1 + 0.2),
+        ]
+        lines = list(subgroups_to_jsonl(groups))
+        assert lines == [_dumps_line(sg) for sg in groups]
+        assert all(line.isascii() for line in lines)
 
 
 def test_subgroup_validation():

@@ -2,10 +2,12 @@ import json
 
 import pytest
 
-from socmob.cohesion import enumerate_two_plexes, is_two_plex
+from socmob.cohesion import enumerate_two_plexes
 from socmob.core import DEFAULT_UTC_OFFSET_HOURS
 from socmob.errors import ConfigError
 from socmob.synthgen import GenConfig, generate, write_corpus
+
+from conftest import is_two_plex
 
 
 def small_cfg(**overrides):
