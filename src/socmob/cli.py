@@ -68,10 +68,6 @@ class _Parser(argparse.ArgumentParser):
     that `main` reports a bad command line as one JSON record; subparsers
     inherit the class."""
 
-    # the names of the subcommands, which `build_parser` sets on the
-    # top-level parser
-    subcommands: tuple[str, ...] = ()
-
     def error(self, message: str):
         raise UsageError(message)
 
@@ -243,8 +239,13 @@ def _cmd_correlate(args) -> int:
     if args.source == "home_city":
         population = _home_city_users(histories, radius_km=args.home_radius_km)
     elif args.source == "two_plex":
-        # the pairs need only the members, not each group's cohesion
-        subgroups = cohesion_mod.two_plex_member_names(ds.graph, min_size=3)
+        # the pairs need only the members, not each group's cohesion, and
+        # only those with check-ins, whose homophily can be measured;
+        # `sample_pairs` skips a group left with fewer than two
+        subgroups = [
+            tuple(u for u in names if u in histories)
+            for names in cohesion_mod.two_plex_member_names(ds.graph, min_size=3)
+        ]
     sample = correlation_mod.sample_pairs(
         population, args.sample_size, source=args.source, seed=args.seed, subgroups=subgroups
     )
@@ -252,15 +253,9 @@ def _cmd_correlate(args) -> int:
     homos: dict[str, list[float]] = {"scos": [], "srate": []}
     cohs: dict[str, list[float]] = {"cn": [], "aa": [], "jacc": [], "doc": []}
     for a, b in sample.pairs:
-        ha, hb = index.get(a, ()), index.get(b, ())
-        try:
-            homos["scos"].append(homophily.spatial_cosine(ha, hb))
-        except NoData:
-            homos["scos"].append(0.0)
-        try:
-            homos["srate"].append(homophily.social_situation_rate(ha, hb))
-        except NoData:
-            homos["srate"].append(0.0)
+        ha, hb = index[a], index[b]
+        homos["scos"].append(homophily.spatial_cosine(ha, hb))
+        homos["srate"].append(homophily.social_situation_rate(ha, hb))
         cohs["cn"].append(float(cohesion_mod.common_neighbors(ds.graph, a, b)))
         cohs["aa"].append(cohesion_mod.adamic_adar(ds.graph, a, b))
         cohs["jacc"].append(cohesion_mod.jaccard_users(ds.graph, a, b))
@@ -296,8 +291,13 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    if args.classes is None:
+        classes = sost.ALL_CLASSES
+    elif args.classes:
+        classes = frozenset(args.classes.split(","))
+    else:
+        raise ConfigError("classes: expected a comma-separated subset of I,II,III, got ''")
     ds = _load(args)
-    classes = frozenset(args.classes.split(",")) if args.classes else sost.ALL_CLASSES
     config = sost.SostConfig(
         beta=args.beta,
         drift=args.drift,
@@ -445,37 +445,26 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # no abbreviations at the top level: `_splice_config` reads only the
-    # full `--config` spelling, so `--conf FILE` must not reach it as one
-    parser = _Parser(
-        prog="socmob",
-        description="Check-in analytics: homophily, cohesion, and social next-location prediction",
-        allow_abbrev=False,
-    )
-    parser.add_argument("--config", help="key = value config file; flags override it")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="validate and normalize a corpus")
+def _ingest_args(p: argparse.ArgumentParser) -> None:
     _add_dataset_args(p)
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_ingest)
 
-    p = sub.add_parser("stats", help="descriptive statistics as JSON")
+
+def _stats_args(p: argparse.ArgumentParser) -> None:
     _add_dataset_args(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_stats)
 
-    p = sub.add_parser("homophily", help="pairwise homophily measures")
+
+def _homophily_args(p: argparse.ArgumentParser) -> None:
     _add_dataset_args(p)
     p.add_argument("--pairs", required=True, help="CSV of user_a,user_b rows")
     p.add_argument("--measure", choices=["col", "scol", "scos", "srate"], required=True)
     p.add_argument("--weight", choices=list(WEIGHT_KINDS), default="none")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_homophily)
 
-    p = sub.add_parser("cohesion", help="enumerate maximal cliques or 2-plexes")
+
+def _cohesion_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", required=True, help="edge-list CSV file")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--cliques", action="store_true")
@@ -483,9 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-size", type=int, default=3)
     p.add_argument("--max-count", type=int, default=None)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_cohesion)
 
-    p = sub.add_parser("correlate", help="homophily x cohesion correlation table")
+
+def _correlate_args(p: argparse.ArgumentParser) -> None:
     _add_dataset_args(p)
     p.add_argument("--sample-size", type=int, default=100_000)
     p.add_argument("--source", choices=list(correlation_mod.SOURCES), default="global")
@@ -495,17 +484,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spearman", action="store_true",
                    help="accepted for compatibility; the table holds Pearson r only")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_correlate)
 
-    p = sub.add_parser("train", help="train and dump one user's context tree")
+
+def _train_args(p: argparse.ArgumentParser) -> None:
     _add_dataset_args(p)
     p.add_argument("--user", required=True)
     p.add_argument("--kappa", type=int, default=3)
     p.add_argument("--slot-hours", type=int, default=1)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("evaluate", help="prequential evaluation report")
+
+def _evaluate_args(p: argparse.ArgumentParser) -> None:
     _add_dataset_args(p)
     p.add_argument("--beta", type=float, default=0.05)
     p.add_argument("--drift", choices=list(sost.DRIFT_KINDS), default="exponential")
@@ -517,9 +506,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class-sweep", action="store_true")
     p.add_argument("--drift-compare", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("synth", help="generate a synthetic corpus")
+
+def _synth_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--users", type=int, default=200)
     p.add_argument("--venues", type=int, default=None,
@@ -530,28 +519,66 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--follow", type=float, default=0.5)
     p.add_argument("--activity-threshold", type=int, default=50)
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("bounds", help="predictability bounds from summary statistics")
+
+def _bounds_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--entropy", type=float, required=True)
     p.add_argument("--locations", type=float, required=True)
     p.add_argument("--new-fraction", type=float, default=None)
     p.add_argument("--avg-visits", type=float, default=None)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("report", help="expand an evaluation JSON into plot data")
+
+def _report_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eval", required=True, help="report JSON from `evaluate`")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_report)
 
-    parser.subcommands = tuple(sub.choices)
+
+# Each subcommand, in the order the help text lists them: its help line,
+# the function that adds its arguments to its parser, and its handler.
+_COMMANDS = {
+    "ingest": ("validate and normalize a corpus", _ingest_args, _cmd_ingest),
+    "stats": ("descriptive statistics as JSON", _stats_args, _cmd_stats),
+    "homophily": ("pairwise homophily measures", _homophily_args, _cmd_homophily),
+    "cohesion": ("enumerate maximal cliques or 2-plexes", _cohesion_args, _cmd_cohesion),
+    "correlate": ("homophily x cohesion correlation table", _correlate_args, _cmd_correlate),
+    "train": ("train and dump one user's context tree", _train_args, _cmd_train),
+    "evaluate": ("prequential evaluation report", _evaluate_args, _cmd_evaluate),
+    "synth": ("generate a synthetic corpus", _synth_args, _cmd_synth),
+    "bounds": ("predictability bounds from summary statistics", _bounds_args, _cmd_bounds),
+    "report": ("expand an evaluation JSON into plot data", _report_args, _cmd_report),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The top-level parser with the subparser of ``command`` only, or with
+    every subparser when ``command`` is None.
+
+    A command line that names its subcommand first parses the same with
+    either: a subparser's usage, help and errors do not depend on its
+    siblings.  The top-level help and the "invalid choice" error list every
+    subcommand, so other command lines need them all.
+    """
+    # no abbreviations at the top level: `_splice_config` reads only the
+    # full `--config` spelling, so `--conf FILE` must not reach it as one
+    parser = _Parser(
+        prog="socmob",
+        description="Check-in analytics: homophily, cohesion, and social next-location prediction",
+        allow_abbrev=False,
+    )
+    parser.add_argument("--config", help="key = value config file; flags override it")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in _COMMANDS if command is None else (command,):
+        help_line, add_args, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        add_args(p)
+        p.set_defaults(func=handler)
     return parser
 
 
-def _splice_config(argv: list[str], subcommands: tuple[str, ...]) -> list[str]:
+def _splice_config(argv: list[str]) -> list[str]:
     """Turn `--config FILE` or `--config=FILE` into flags inserted right
-    after the first token of ``argv`` that is one of ``subcommands``.
+    after the first token of ``argv`` that names a subcommand.
 
     Flags written by the user come later on the line and therefore
     override the file values.
@@ -576,16 +603,18 @@ def _splice_config(argv: list[str], subcommands: tuple[str, ...]) -> list[str]:
         if value.lower() != "true":
             extra.append(value)
     for pos, token in enumerate(argv):
-        if token in subcommands:
+        if token in _COMMANDS:
             return argv[: pos + 1] + extra + argv[pos + 1 :]
     return argv + extra
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(_splice_config(argv, parser.subcommands))
+        argv = _splice_config(argv)
+        # a command line that names its subcommand first needs no other
+        parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+        args = parser.parse_args(argv)
     except (OSError, ValueError, UsageError) as exc:
         return _fail(exc, EXIT_USAGE)
     except ParseError as exc:

@@ -76,19 +76,6 @@ class ContextKey:
     temporal: TemporalContext
 
 
-def temporal_labels(t: TemporalContext) -> tuple[Label, Label, Label]:
-    """The day-class, day and slot labels of a calendar context: one shared
-    tuple per day of week and slot."""
-    return _TEMPORAL_LABELS[t.day_of_week * 24 + t.slot]
-
-
-_TEMPORAL_LABELS = tuple(
-    (("W", 1 if dow in (0, 6) else 0), ("D", dow), ("S", slot))
-    for dow in range(7)
-    for slot in range(24)
-)
-
-
 def calendar_keys(t: TemporalContext) -> tuple[int, int, int]:
     """The day-class, day and cell keys of a calendar context, ``w`` (1 on
     weekends), ``2 + dow`` and ``9 + dow * 24 + slot``: the keys of its
@@ -122,22 +109,6 @@ def _labels_key(labels: Sequence[Label], n_slots: int) -> int | None:
         return 2 + d
     s = labels[2][1]
     return 9 + d * 24 + s if s in range(n_slots) else None
-
-
-def escape_chain(spatial: Sequence[str], temporal: TemporalContext) -> list[Context]:
-    """All fallback contexts, longest first, ending with the empty context.
-
-    This is the order in which ``distribution`` reads counters; it collects
-    them with one trie descent per spatial order (``_chain_counts``).
-    """
-    tl = temporal_labels(temporal)
-    contexts: list[Context] = []
-    n = len(spatial)
-    for k in range(n, -1, -1):
-        sp = tuple(("L", v) for v in spatial[n - k :])
-        for t in (3, 2, 1, 0):
-            contexts.append(sp + tl[:t])
-    return contexts
 
 
 # the child map of every trie node without children, here and in the social
@@ -480,9 +451,11 @@ def _ranked(dist: Mapping[str, float], limit: int | None) -> list[tuple[str, flo
 def _chain_counts(
     root: _Node, spatial: Sequence[str], keys: tuple[int, int, int]
 ) -> list[Counts | None]:
-    """The counters of ``escape_chain(spatial, temporal)`` without its final
-    empty context, in chain order, as the trie holds them; None where no
-    event reached a context.
+    """The counters of the fallback chain of ``spatial`` and a calendar
+    context with ``keys``, without its final empty context, in chain order,
+    as the trie holds them; None where no event reached a context.  The
+    chain runs longest first: for k = len(spatial) … 0, the last k venues
+    refined by slot, day, day class and no calendar feature.
 
     One descent per spatial order reaches the node after its venues; the
     calendar contexts of that order are three keys of its ``cal`` map

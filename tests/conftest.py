@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from socmob.core import CheckIn, SocialGraph
+from socmob.core import CheckIn, SocialGraph, TemporalContext
 from socmob.synthgen import GenConfig, generate
-from socmob.vomm import calendar_keys
+from socmob.vomm import Context, Label, calendar_keys
 
 
 def make_checkin(user="u1", venue="v1", ts=0, lat=37.75, lon=-122.45):
@@ -15,6 +15,33 @@ def situation_path(venue, temporal):
     """The keys of a situation's nodes in a social tree: the venue, then
     the day-class, day and cell keys of its calendar context."""
     return (venue, *calendar_keys(temporal))
+
+
+def temporal_labels(t: TemporalContext) -> tuple[Label, Label, Label]:
+    """The day-class, day and slot labels of a calendar context: one shared
+    tuple per day of week and slot."""
+    return _TEMPORAL_LABELS[t.day_of_week * 24 + t.slot]
+
+
+_TEMPORAL_LABELS = tuple(
+    (("W", 1 if dow in (0, 6) else 0), ("D", dow), ("S", slot))
+    for dow in range(7)
+    for slot in range(24)
+)
+
+
+def escape_chain(spatial, temporal: TemporalContext) -> list[Context]:
+    """All fallback contexts of a context tree, longest first, ending with
+    the empty context: the order in which ``distribution`` reads counters,
+    which it collects with one trie descent per spatial order."""
+    tl = temporal_labels(temporal)
+    contexts: list[Context] = []
+    n = len(spatial)
+    for k in range(n, -1, -1):
+        sp = tuple(("L", v) for v in spatial[n - k :])
+        for t in (3, 2, 1, 0):
+            contexts.append(sp + tl[:t])
+    return contexts
 
 
 def poisson_random_graph(n: int, avg_degree: float, seed: int = 0) -> SocialGraph:

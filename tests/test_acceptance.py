@@ -24,9 +24,9 @@ from socmob.homophily import colocation_count, social_situation_rate, spatial_co
 from socmob.ingestion import build_dataset
 from socmob.sost import SostConfig, drift_factor
 from socmob.synthgen import GenConfig, generate
-from socmob.vomm import ContextTree, TreeConfig, escape_chain
+from socmob.vomm import ContextTree, TreeConfig
 
-from conftest import is_clique, is_two_plex, poisson_random_graph, random_history
+from conftest import escape_chain, is_clique, is_two_plex, poisson_random_graph, random_history
 from test_cohesion import brute_force_maximal, random_graph
 from test_homophily import oracle_colocation, oracle_cosine, oracle_situation_rate
 from test_vomm import PpmOracle, routed_outside_mass

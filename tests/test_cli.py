@@ -504,6 +504,49 @@ class TestStatsHomophilyCorrelate:
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "ValueError"
 
+    @staticmethod
+    def _two_plex_corpus(tmp_path, edges, users):
+        """Check-in and edge files: ``users`` check in at two venues over
+        three days, and the edge file may name others."""
+        rows = ["user_id,venue_id,timestamp,lat,lon"]
+        for day in range(3):
+            for n, user in enumerate(users):
+                t = 1_000_000 + day * 86_400 + n * 600
+                rows.append(f"{user},v{(day + n) % 2},{t},37.75,-122.45")
+        checkins = tmp_path / "c.csv"
+        checkins.write_text("\n".join(rows) + "\n")
+        edge_file = tmp_path / "e.csv"
+        edge_file.write_text("user_a,user_b\n" + "".join(f"{a},{b}\n" for a, b in edges))
+        return ["--checkins", checkins, "--edges", edge_file, "--activity-threshold", 1]
+
+    def test_two_plex_draws_only_users_with_check_ins(self, tmp_path, monkeypatch, capsys):
+        # z closes the triangle a-b-z but has no check-ins
+        edges = [("a", "b"), ("a", "z"), ("b", "z"), ("c", "d"), ("c", "e"), ("d", "e")]
+        ds = self._two_plex_corpus(tmp_path, edges, ["a", "b", "c", "d", "e"])
+        sampled = []
+        sample_pairs = cli.correlation_mod.sample_pairs
+
+        def spy(*args, **kwargs):
+            sample = sample_pairs(*args, **kwargs)
+            sampled.extend(sample.pairs)
+            return sample
+
+        monkeypatch.setattr(cli.correlation_mod, "sample_pairs", spy)
+        argv = ["correlate", *ds, "--source", "two_plex", "--sample-size", 200]
+        assert run(argv) == 0
+        assert capsys.readouterr().out.startswith("measure,")
+        assert len(sampled) == 200
+        assert {u for pair in sampled for u in pair} == {"a", "b", "c", "d", "e"}
+
+    def test_two_plex_without_two_measurable_members_exits_5(self, tmp_path, capsys):
+        # the one triangle keeps one member with check-ins
+        edges = [("a", "y"), ("a", "z"), ("y", "z")]
+        ds = self._two_plex_corpus(tmp_path, edges, ["a", "b"])
+        assert run(["correlate", *ds, "--source", "two_plex", "--sample-size", 10]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "NoData"
+
     def test_train_dump(self, corpus_dir, capsys):
         assert run(
             [
@@ -689,6 +732,22 @@ class TestErrorsAndConfig:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "slot_hours" in json.loads(err[0])["message"]
 
+    @pytest.mark.parametrize("spelling", ["flag", "config"])
+    def test_empty_classes_exits_5(self, corpus_dir, tmp_path, capsys, spelling):
+        ds = ["--checkins", corpus_dir / "checkins.csv", "--edges", corpus_dir / "edges.csv"]
+        if spelling == "flag":
+            argv = ["evaluate", *ds, "--classes", ""]
+        else:
+            conf = tmp_path / "run.conf"
+            conf.write_text("classes =\n")
+            argv = ["--config", conf, "evaluate", *ds]
+        assert run(argv) == 5
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert captured.out == "" and len(err) == 1
+        record = json.loads(err[0])
+        assert record["error"] == "ConfigError" and "classes" in record["message"]
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"
         conf.write_text("entropy = 3.48\nlocations = 62\n")
@@ -744,6 +803,64 @@ class TestErrorsAndConfig:
         assert len(err) == 1 and "--config" in json.loads(err[0])["message"]
 
 
+COMMAND_NAMES = [
+    "ingest", "stats", "homophily", "cohesion", "correlate",
+    "train", "evaluate", "synth", "bounds", "report",
+]
+
+
+class TestOneSubparserPerCommand:
+    """A command line that names its subcommand first builds only that
+    subparser, and must behave exactly as under the full parser."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *([name, "-h"] for name in COMMAND_NAMES),
+            [],
+            ["-h"],
+            ["bogus"],
+            ["-1", "stats"],
+            ["--bogus", "stats", "--checkins", "c.csv", "--edges", "e.csv"],
+            ["bounds", "--entropy", "1.5"],
+            ["homophily", "--checkins", "c", "--edges", "e", "--pairs", "p", "--measure", "x"],
+            ["--config", "CONF", "bounds"],
+            ["bounds", "--config", "CONF"],
+            ["bounds", "--config=CONF", "--locations", "10"],
+            ["--conf", "CONF", "bounds"],
+        ],
+        ids=[
+            *(f"{name}-help" for name in COMMAND_NAMES),
+            "no-arguments", "top-level-help", "unknown-command", "number-first",
+            "flag-first", "missing-required", "bad-choice", "config-before",
+            "config-after", "config-equals", "abbreviated-config",
+        ],
+    )
+    def test_same_outcome_as_the_full_parser(self, tmp_path, monkeypatch, capsys, argv):
+        conf = tmp_path / "run.conf"
+        conf.write_text("entropy = 3.48\nlocations = 62\n")
+        argv = [str(conf) if a == "CONF" else a for a in argv]
+        outcomes = []
+        for _ in range(2):
+            outcomes.append((run(argv), *capsys.readouterr()))
+            full = cli.build_parser
+            monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("name", COMMAND_NAMES)
+    def test_a_named_command_builds_two_parsers(self, monkeypatch, capsys, name):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs["prog"])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        assert run([name, "-h"]) == 0
+        assert built == ["socmob", f"socmob {name}"]
+
+
 class TestReportErrors:
     @pytest.mark.parametrize(
         "text",
@@ -786,6 +903,11 @@ class TestReportErrors:
         assert len(err) == 1 and json.loads(err[0])["error"] == "ParseError"
 
 
+def _replace_bounds_handler(monkeypatch, handler):
+    help_line, add_args, _ = cli._COMMANDS["bounds"]
+    monkeypatch.setitem(cli._COMMANDS, "bounds", (help_line, add_args, handler))
+
+
 @pytest.mark.parametrize(
     "exc, code",
     [
@@ -809,7 +931,7 @@ def test_exit_code_of_each_error_class(monkeypatch, capsys, exc, code):
     def raise_it(args):
         raise exc
 
-    monkeypatch.setattr(cli, "_cmd_bounds", raise_it)
+    _replace_bounds_handler(monkeypatch, raise_it)
     assert run(["bounds", "--entropy", 1, "--locations", 5]) == code
     captured = capsys.readouterr()
     err = captured.err.strip().splitlines()
@@ -821,6 +943,6 @@ def test_unmapped_errors_keep_their_traceback(monkeypatch):
     def raise_it(args):
         raise KeyError("bug")
 
-    monkeypatch.setattr(cli, "_cmd_bounds", raise_it)
+    _replace_bounds_handler(monkeypatch, raise_it)
     with pytest.raises(KeyError):
         run(["bounds", "--entropy", 1, "--locations", 5])

@@ -182,7 +182,13 @@ def invocations(draw):
         extra += ["--activity-threshold", "1"]
     config = draw(st.sampled_from(GLOBAL))
     before = draw(st.booleans())
-    argv = (config if before else []) + [command, *required, *extra] + ([] if before else config)
+    # a stray token before the command, which makes `main` build every subparser
+    lead = [draw(st.sampled_from(["--bogus", "-1", "x"]))] if draw(st.integers(0, 9)) == 0 else []
+    argv = (
+        (config if before else [])
+        + [*lead, command, *required, *extra]
+        + ([] if before else config)
+    )
     return files, argv
 
 

@@ -14,9 +14,9 @@ from socmob.core import (
     user_entropy,
 )
 from socmob.errors import NoData, UnknownNode
-from socmob.vomm import TreeConfig, temporal_labels
+from socmob.vomm import TreeConfig
 
-from conftest import make_checkin
+from conftest import make_checkin, temporal_labels
 
 
 class TestCheckIn:

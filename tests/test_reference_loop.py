@@ -41,10 +41,9 @@ from socmob.vomm import (
     MergedContextView,
     TreeConfig,
     calendar_keys,
-    escape_chain,
 )
 
-from conftest import situation_path
+from conftest import escape_chain, situation_path
 
 
 class _Node:

@@ -12,9 +12,9 @@ from socmob.vomm import (
     MergedContextView,
     TreeConfig,
     argmax,
-    escape_chain,
-    temporal_labels,
 )
+
+from conftest import escape_chain, temporal_labels
 
 HOUR = 3600
 
