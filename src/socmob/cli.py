@@ -230,6 +230,10 @@ def _cmd_cohesion(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
+    if not 0.0 <= args.home_radius_km < math.inf:
+        raise ConfigError(
+            f"home_radius_km must be a finite number >= 0, got {args.home_radius_km}"
+        )
     from . import homophily  # numpy: loaded by the commands that measure
 
     ds = _load(args)
@@ -356,6 +360,14 @@ _PER_USER_FIELDS = (
     "n_locations",
     "influencers",
 )
+# the per-user fields that count, and the summary fields `report` copies
+_PER_USER_COUNTS = ("scored", "degree", "n_locations", "influencers")
+_SUMMARY_NUMBERS = (
+    "accuracy_st",
+    "accuracy_sost",
+    "absolute_improvement",
+    "relative_improvement",
+)
 
 
 def _is_finite_number(value) -> bool:
@@ -364,6 +376,10 @@ def _is_finite_number(value) -> bool:
         and not isinstance(value, bool)
         and math.isfinite(value)
     )
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def _read_report(path: str) -> dict:
@@ -386,6 +402,11 @@ def _read_report(path: str) -> dict:
         bad = [k for k in _PER_USER_FIELDS if k != "user" and not _is_finite_number(row[k])]
         if bad:
             raise ParseError(f"report: per_user row {n}: not a finite number: {', '.join(bad)}")
+        bad = [k for k in _PER_USER_COUNTS if not _is_count(row[k])]
+        if bad:
+            raise ParseError(
+                f"report: per_user row {n}: not a non-negative integer: {', '.join(bad)}"
+            )
     hours = data.get("per_hour_shares", {})
     if not isinstance(hours, dict) or not all(isinstance(v, list) for v in hours.values()):
         raise ParseError("report: per_hour_shares must map day classes to lists")
@@ -397,6 +418,17 @@ def _read_report(path: str) -> dict:
             raise ParseError(
                 f"report: per_hour_shares[{day_class!r}]: not a finite number at hour {bad[0]}"
             )
+    # the fields `report` copies into summary.json; a missing one stays null
+    bad = [k for k in _SUMMARY_NUMBERS if k in data and not _is_finite_number(data[k])]
+    p = data.get("significance_p")
+    if p is not None and not _is_finite_number(p):
+        bad.append("significance_p")
+    if bad:
+        raise ParseError(f"report: not a finite number: {', '.join(bad)}")
+    if "n_scored" in data and not _is_count(data["n_scored"]):
+        raise ParseError("report: n_scored must be a non-negative integer")
+    if "bounds" in data and not isinstance(data["bounds"], dict):
+        raise ParseError("report: bounds must be an object")
     return data
 
 
@@ -427,16 +459,7 @@ def _cmd_report(args) -> int:
         _csv_text(("day_class", "hour", "share"), hour_rows), encoding="utf-8"
     )
     summary = {
-        k: data.get(k)
-        for k in (
-            "accuracy_st",
-            "accuracy_sost",
-            "absolute_improvement",
-            "relative_improvement",
-            "n_scored",
-            "bounds",
-            "significance_p",
-        )
+        k: data.get(k) for k in (*_SUMMARY_NUMBERS, "n_scored", "bounds", "significance_p")
     }
     (outdir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"

@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import SocialGraph
 from .errors import UnknownNode
@@ -68,36 +68,28 @@ def degree_of_cliquishness(g: SocialGraph, i: str, j: str) -> float:
     Operationalizes "how cohesive a group do the friends of the two users
     form": the fraction of realized edges among N(i) ∪ N(j) \\ {i, j}.
     """
-    group = (g.neighbors(i) | g.neighbors(j)) - {i, j}
-    n = len(group)
+    return _density(g, (g.neighbors(i) | g.neighbors(j)) - {i, j})
+
+
+def _density(g: SocialGraph, group: Iterable[str]) -> float:
+    """The fraction of the pairs of ``group`` that are linked; 0.0 for
+    fewer than two members."""
+    members = sorted(group)
+    n = len(members)
     if n < 2:
         return 0.0
-    edges = 0
-    members = sorted(group)
-    for a_idx, a in enumerate(members):
-        na = g.neighbors(a)
-        for b in members[a_idx + 1 :]:
-            if b in na:
-                edges += 1
-    return edges / (n * (n - 1) / 2)
-
-
-def local_clustering(g: SocialGraph, v: str) -> float:
-    neigh = sorted(g.neighbors(v))
-    d = len(neigh)
-    if d < 2:
-        return 0.0
     links = 0
-    for idx, a in enumerate(neigh):
+    for idx, a in enumerate(members):
         na = g.neighbors(a)
-        for b in neigh[idx + 1 :]:
+        for b in members[idx + 1 :]:
             if b in na:
                 links += 1
-    return links / (d * (d - 1) / 2)
+    return links / (n * (n - 1) / 2)
 
 
 def clustering_coefficient(g: SocialGraph) -> float:
-    """Average local clustering coefficient (Watts-Strogatz).
+    """Average local clustering coefficient (Watts-Strogatz): the link
+    density among each node's neighbors.
 
     The sum runs in sorted node order, so the float result does not depend
     on the iteration order of the node set (string hashing is salted per
@@ -105,7 +97,7 @@ def clustering_coefficient(g: SocialGraph) -> float:
     nodes = sorted(g.nodes)
     if not nodes:
         return 0.0
-    return sum(local_clustering(g, v) for v in nodes) / len(nodes)
+    return sum(_density(g, g.neighbors(v)) for v in nodes) / len(nodes)
 
 
 def avg_path_length(

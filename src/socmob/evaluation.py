@@ -32,6 +32,7 @@ from .sost import (
     CLASS_II,
     CLASS_III,
     SITUATION_WINDOW,
+    STAY_HOURS,
     TIE_WINDOW,
     EventMemo,
     SocialTree,
@@ -331,7 +332,6 @@ def evaluate(
     recent: dict[str, list[tuple[int, str]]] = {}
     prev_venues: dict[str, list[str]] = {}
     last_event: dict[str, tuple[int, str]] = {}
-    venue_counts: dict[str, dict[str, int]] = {}
 
     records = {u: UserRecord(user=u, degree=graph.degree(u) if u in graph else 0) for u in target_list}
     variant_hits = [0] * n_variants
@@ -346,7 +346,7 @@ def evaluate(
     tie_window = TIE_WINDOW
     # a situation stays "active" for about one stay at the venue, even when
     # the co-present check-ins happened within the shorter situation window
-    active_window = max(sit_window, int(config.stay_hours * 3600))
+    active_window = max(sit_window, int(STAY_HOURS * 3600))
     # the report's hour buckets are the calendar slots when slots are hours
     hourly = config.tree.slot_hours == 1
 
@@ -424,7 +424,7 @@ def evaluate(
                 hour_sost[bucket][tc.slot] += 1
             rec.scored += 1
             n_scored += 1
-            if v not in venue_counts.get(u, ()):
+            if st is None or v not in st.alphabet:
                 new_location_events += 1
             if record_predictions:
                 row = {"user": u, "timestamp": t, "actual": v, "st": st_pred}
@@ -468,15 +468,14 @@ def evaluate(
         if len(pv) > config.tree.kappa:
             pv.pop(0)
         last_event[u] = (t, v)
-        venue_counts.setdefault(u, {})
-        venue_counts[u][v] = venue_counts[u].get(v, 0) + 1
 
     if n_scored == 0:
         raise NoData("no scored events")
 
-    # per-user profile fields
+    # per-user profile fields; a tree's alphabet counts its user's visits
+    # to each venue
     for u in target_list:
-        counts = venue_counts.get(u, {})
+        counts = tree_of(u).alphabet
         rec = records[u]
         rec.n_locations = len(counts)
         if counts:
@@ -519,9 +518,7 @@ def evaluate(
     # bounds from the evaluated users' own statistics
     entropies = [records[u].entropy for u in target_list if records[u].n_locations]
     n_locs = [records[u].n_locations for u in target_list if records[u].n_locations]
-    pair_visits = [
-        c for u in target_list for c in venue_counts.get(u, {}).values()
-    ]
+    pair_visits = [c for u in target_list for c in tree_of(u).alphabet.values()]
     mean_entropy = sum(entropies) / len(entropies) if entropies else 0.0
     mean_locations = sum(n_locs) / len(n_locs) if n_locs else 2.0
     new_fraction = new_location_events / n_scored

@@ -38,7 +38,6 @@ from .errors import ConfigError, ModelEmpty
 from .vomm import (
     NO_CHILDREN,
     ContextKey,
-    ContextTree,
     MergedContextView,
     TreeConfig,
     argmax,
@@ -51,6 +50,9 @@ HOUR_SECONDS = 3_600
 SITUATION_WINDOW = HOUR_SECONDS
 #: Tie strength counts co-locations over this many preceding seconds.
 TIE_WINDOW = WEEK_SECONDS
+#: The average stay at a venue, in hours: the unit of time drift, and how
+#: long a situation stays active.
+STAY_HOURS = 3.0
 
 CLASS_I = "I"
 CLASS_II = "II"
@@ -69,7 +71,6 @@ class SostConfig:
     drift: str = "exponential"
     estimator: str = "B"
     classes: frozenset[str] = ALL_CLASSES
-    stay_hours: float = 3.0
     enable_trend: bool = True
     tree: TreeConfig = field(default_factory=TreeConfig)
 
@@ -82,8 +83,6 @@ class SostConfig:
             raise ConfigError(f"beta must be in (0, 1), got {self.beta}")
         if not self.classes <= ALL_CLASSES:
             raise ConfigError(f"unknown influence classes {self.classes - ALL_CLASSES}")
-        if self.stay_hours <= 0:
-            raise ConfigError("stay_hours must be positive")
 
 
 def drift_factor(elapsed: float, beta: float, stay_hours: float, kind: str) -> float:
@@ -134,19 +133,15 @@ class InfluenceRecord:
         occurrence count when ``config`` has no drift."""
         if config.drift == "none":
             return float(self.hits)
-        return self.counter * _decay(
-            now - self.last_seen, config.beta, config.stay_hours, config.drift
-        )
+        return self.counter * _decay(now - self.last_seen, config.beta, STAY_HOURS, config.drift)
 
     def reinforce(self, now: int, config: SostConfig) -> None:
         self.hits += 1
         if config.drift == "none":
             self.counter += 1.0
         else:
-            self.counter *= (
-                _decay(now - self.last_seen, config.beta, config.stay_hours, config.drift)
-                + 1.0
-            )
+            decay = _decay(now - self.last_seen, config.beta, STAY_HOURS, config.drift)
+            self.counter *= decay + 1.0
         self.last_seen = now
 
 
@@ -231,14 +226,13 @@ class SocialTree:
 
     ``record`` builds no node: it queues the write under its cell key
     and in ``_pending``.  A cell's slot nodes are built when a reader
-    first asks for that cell (``slots_at``, which ``slot_node``,
-    ``venues_at`` and the estimator-B reads use), by replaying the cell's
-    queue in write order.  The venue, day-class and day levels are built
-    by replaying ``_pending`` in write order, after every queued cell,
-    when something first reads them: ``root``, ``n_records``,
-    ``path_nodes`` and ``normalizer_nodes``.  Both replays leave counters,
-    creation numbers and child order exactly as writing every level at
-    once would have.
+    first asks for that cell (``slots_at``, which ``venues_at`` and the
+    estimator-B reads use), by replaying the cell's queue in write order.
+    The venue, day-class and day levels are built by replaying
+    ``_pending`` in write order, after every queued cell, when something
+    first reads them: ``root``, ``n_records``, ``path_nodes`` and
+    ``normalizer_nodes``.  Both replays leave counters, creation numbers
+    and child order exactly as writing every level at once would have.
     """
 
     def __init__(self, classes: Iterable[str], config: SostConfig):
@@ -398,23 +392,6 @@ class SocialTree:
                 out |= users
         return out
 
-    def slot_node(
-        self,
-        venue: str,
-        temporal: TemporalContext,
-        classes: frozenset[str] | None = None,
-    ) -> _SocialNode | None:
-        """The node for the venue's full temporal context.
-
-        Returns None when the exact cell holds no records of ``classes``;
-        evidence from other slots or days deliberately does not leak across
-        cells.
-        """
-        node = self.slots_at(temporal).get(venue)
-        if node is None or not _holds(node, classes):
-            return None
-        return node
-
     def path_nodes(self, venue: str, temporal: TemporalContext) -> list[_SocialNode]:
         """Existing nodes along venue → day class → day → slot, root excluded."""
         nodes = []
@@ -550,7 +527,7 @@ class SostModel:
         target: str,
         neighbors: Iterable[str],
         config: SostConfig | None = None,
-        trend: ContextTree | MergedContextView | None = None,
+        trend: MergedContextView | None = None,
         social: SocialTree | None = None,
     ):
         self.target = target
@@ -574,7 +551,6 @@ class SostModel:
             self.class_filter,
             self.config.drift,
             self.config.beta,
-            self.config.stay_hours,
             self.config.estimator,
         )
         self.trend = trend
@@ -726,8 +702,8 @@ class SostModel:
 
         ``memo`` lets the models of one target that share the store, the
         tie masses and the trend view compute within one event one trend
-        prediction and, for each reading (class filter, drift, beta, stay
-        time and estimator), one set of social candidates and factors.
+        prediction and, for each reading (class filter, drift, beta and
+        estimator), one set of social candidates and factors.
         """
         active = bool(users_now and len(users_now) >= 2)
         factors: dict[str, float] | None = None
@@ -791,17 +767,10 @@ class SostModel:
             return memo.trend[0]
         pred = None
         if self.trend is not None:
-            tkey = ContextKey(
-                spatial=tuple(spatial)[len(spatial) - self.config.tree.kappa :]
-                if len(spatial) > self.config.tree.kappa
-                else tuple(spatial),
-                temporal=temporal,
-            )
             try:
-                ranked = self.trend.predict(tkey, limit=1)
+                pred = self.trend.predict(ContextKey(tuple(spatial), temporal))
             except ModelEmpty:
-                ranked = []
-            pred = ranked[0] if ranked else None
+                pass
         if memo is not None:
             memo.trend.append(pred)
         return pred

@@ -224,10 +224,6 @@ class ContextTree:
             sp = sp[len(sp) - self.config.kappa :]
         return ContextKey(spatial=sp, temporal=self.config.temporal(timestamp))
 
-    def prob(self, symbol: str, key: ContextKey) -> float:
-        """Probability of ``symbol`` after the given context."""
-        return self.distribution(key, (symbol,))[0][symbol]
-
     def distribution(
         self, key: ContextKey, candidates: Iterable[str] | None = None
     ) -> tuple[dict[str, float], float]:
@@ -404,7 +400,6 @@ class MergedContextView:
         if not trees:
             raise ValueError("need at least one tree")
         self.trees = list(trees)
-        self.config = self.trees[0].config
 
     @property
     def alphabet(self) -> Mapping[str, None]:
@@ -417,17 +412,10 @@ class MergedContextView:
         columns = zip(*(_chain_counts(t.root, key.spatial, keys) for t in self.trees))
         return [_merged(column) for column in columns]
 
-    def distribution(
-        self, key: ContextKey, candidates: Iterable[str] | None = None
-    ) -> tuple[dict[str, float], float]:
-        """Per-candidate probabilities and the new-symbol mass of the tree
-        trained on every trajectory of the view."""
-        return _ppm(self._counters(key), self.alphabet, candidates)
-
-    def predict(self, key: ContextKey, limit: int | None = None) -> list[tuple[str, float]]:
-        if limit == 1:
-            return [_ppm_best(self._counters(key), self.alphabet)[0]]
-        return _ranked(self.distribution(key)[0], limit)
+    def predict(self, key: ContextKey) -> tuple[str, float]:
+        """The best venue, with its probability, of the tree trained on
+        every trajectory of the view."""
+        return _ppm_best(self._counters(key), self.alphabet)[0]
 
 
 def argmax(dist: Mapping[str, float]) -> tuple[str | None, float]:

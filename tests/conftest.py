@@ -44,6 +44,11 @@ def escape_chain(spatial, temporal: TemporalContext) -> list[Context]:
     return contexts
 
 
+def prob(tree, symbol, key) -> float:
+    """A context tree's probability of ``symbol`` after ``key``'s context."""
+    return tree.distribution(key, (symbol,))[0][symbol]
+
+
 def poisson_random_graph(n: int, avg_degree: float, seed: int = 0) -> SocialGraph:
     """Erdős–Rényi G(n, p) with p chosen to match the target average degree."""
     if n < 2:

@@ -26,7 +26,14 @@ from socmob.sost import SostConfig, drift_factor
 from socmob.synthgen import GenConfig, generate
 from socmob.vomm import ContextTree, TreeConfig
 
-from conftest import escape_chain, is_clique, is_two_plex, poisson_random_graph, random_history
+from conftest import (
+    escape_chain,
+    is_clique,
+    is_two_plex,
+    poisson_random_graph,
+    prob,
+    random_history,
+)
 from test_cohesion import brute_force_maximal, random_graph
 from test_homophily import oracle_colocation, oracle_cosine, oracle_situation_rate
 from test_vomm import PpmOracle, routed_outside_mass
@@ -77,7 +84,7 @@ def test_criterion_1_ppm_oracle_equivalence():
             key = tree.key(prev, ts)
             ctx = oracle.full_context(tuple(prev), key.temporal)
             for q in alphabet:
-                mine = tree.prob(q, key)
+                mine = prob(tree, q, key)
                 ref = oracle.prob(q, ctx, key.temporal)
                 assert mine == pytest.approx(ref, abs=1e-12)
                 checked += 1

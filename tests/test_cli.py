@@ -504,6 +504,25 @@ class TestStatsHomophilyCorrelate:
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "ValueError"
 
+    @pytest.mark.parametrize("radius", ["-1", "nan", "inf"])
+    def test_correlate_bad_home_radius_exits_5(self, corpus_dir, capsys, radius):
+        assert run(
+            [
+                "correlate",
+                "--checkins", corpus_dir / "checkins.csv",
+                "--edges", corpus_dir / "edges.csv",
+                "--activity-threshold", 5,
+                "--sample-size", 500,
+                "--source", "home_city",
+                "--home-radius-km", radius,
+            ]
+        ) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigError"
+        assert "home_radius_km" in err["message"]
+
     @staticmethod
     def _two_plex_corpus(tmp_path, edges, users):
         """Check-in and edge files: ``users`` check in at two venues over
@@ -889,11 +908,33 @@ class TestReportErrors:
             '{"per_hour_shares": {"workday": [true]}}',
             '{"per_hour_shares": {"holiday": [0.5]}}',
             '{"per_hour_shares": {"work\\nday": [0.5]}}',
+            json.dumps({"per_user": [{
+                "user": "x", "scored": -3, "st_accuracy": 0.5, "sost_accuracy": 0.5,
+                "improvement": 0.0, "situation_rate": 0.0, "degree": 1, "entropy": 0.0,
+                "n_locations": 1, "influencers": 0,
+            }]}),
+            json.dumps({"per_user": [{
+                "user": "x", "scored": 4, "st_accuracy": 0.5, "sost_accuracy": 0.5,
+                "improvement": 0.0, "situation_rate": 0.0, "degree": 1, "entropy": 0.0,
+                "n_locations": 1.5, "influencers": 0,
+            }]}),
+            '{"accuracy_st": "x"}',
+            '{"accuracy_sost": Infinity}',
+            '{"relative_improvement": NaN}',
+            '{"absolute_improvement": true}',
+            '{"n_scored": -1}',
+            '{"n_scored": 2.5}',
+            '{"significance_p": "0.05"}',
+            '{"significance_p": NaN}',
+            '{"bounds": [1]}',
         ],
         ids=["missing-key", "row-not-object", "rows-not-list", "hours-not-lists",
              "not-object", "not-json", "field-not-a-number", "field-not-finite",
              "share-string", "share-null", "share-object", "share-nan", "share-infinite",
-             "share-bool", "day-class-unknown", "day-class-newline"],
+             "share-bool", "day-class-unknown", "day-class-newline", "count-negative",
+             "count-not-integer", "accuracy-string", "accuracy-infinite",
+             "improvement-nan", "improvement-bool", "n-scored-negative",
+             "n-scored-not-integer", "p-string", "p-nan", "bounds-not-object"],
     )
     def test_bad_report_is_a_parse_error(self, tmp_path, capsys, text):
         bad = tmp_path / "report.json"

@@ -28,6 +28,7 @@ from socmob.sost import (
     CLASS_II,
     CLASS_III,
     SITUATION_WINDOW,
+    STAY_HOURS,
     TIE_WINDOW,
     InfluenceRecord,
     SostConfig,
@@ -91,10 +92,6 @@ class EagerSocialTree:
                 break
             nodes.append(node)
         return nodes
-
-    def slot_node(self, venue, temporal, classes=None):
-        nodes = self.path_nodes(venue, temporal)
-        return nodes[3] if len(nodes) == 4 else None
 
     def slots_at(self, temporal):
         return self._cells.get(calendar_keys(temporal)[2], {})
@@ -182,7 +179,7 @@ def reference_run(dataset, config, class_sweep, drift_compare):
             )
 
     history = []  # every check-in processed so far, in stream order
-    active_window = max(SITUATION_WINDOW, int(config.stay_hours * 3600))
+    active_window = max(SITUATION_WINDOW, int(STAY_HOURS * 3600))
     rows, situations = [], dict.fromkeys(targets, 0)
     for ci in dataset.checkins:
         u, v, t = ci.user_id, ci.venue_id, ci.timestamp

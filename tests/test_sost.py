@@ -12,13 +12,14 @@ from socmob.sost import (
     SocialTree,
     SostConfig,
     SostModel,
+    STAY_HOURS,
     classify_situation,
     drift_factor,
     influence_jaccard,
 )
 from socmob.vomm import ContextKey, ContextTree, MergedContextView, TreeConfig, calendar_keys
 
-from conftest import situation_path
+from conftest import prob, situation_path
 
 HOUR = 3600
 T0 = 1_000_000
@@ -50,10 +51,19 @@ def social_prob(model, venue, users_now, temporal, now):
     return 0.0 if factors is None else factors[venue]
 
 
+def slot_node(store, venue, temporal, classes=None):
+    """A social store's slot node for ``venue`` in ``temporal``'s cell; None
+    when it holds no records of ``classes`` (None admits every class)."""
+    node = store.slots_at(temporal).get(venue)
+    if node is None or not any(classes is None or rec.cls in classes for rec in node.records):
+        return None
+    return node
+
+
 def effective_counter(model, users_now, venue, temporal, now):
     """The Jaccard-weighted counter of the venue's slot node; 0.0 when the
     cell holds no slot node for the venue."""
-    node = model.social.slot_node(venue, temporal, model.class_filter)
+    node = slot_node(model.social, venue, temporal, model.class_filter)
     if node is None:
         return 0.0
     return SocialTree.effective_counter(
@@ -133,7 +143,7 @@ class TestRecord:
         assert rec.counter == pytest.approx(2.0)
 
     def test_reinforce_decayed(self):
-        cfg = SostConfig(beta=0.05, stay_hours=3.0, drift="exponential")
+        cfg = SostConfig(beta=0.05, drift="exponential")
         rec = InfluenceRecord(users=frozenset({"a"}), last_seen=0, counter=1.0)
         elapsed = 60 * HOUR
         psi = drift_factor(elapsed, 0.05, 3.0, "exponential")
@@ -152,15 +162,14 @@ class TestRecord:
     @given(
         kind=st.sampled_from(["geometric", "exponential"]),
         beta=st.floats(0.001, 0.999),
-        stay=st.floats(0.25, 24.0),
         counter=st.floats(0.5, 1e6),
         last_seen=st.integers(0, 10**9),
         elapsed=st.integers(0, 10**8),
     )
-    def test_decay_is_drift_factor_exactly(self, kind, beta, stay, counter, last_seen, elapsed):
+    def test_decay_is_drift_factor_exactly(self, kind, beta, counter, last_seen, elapsed):
         # reads and reinforcements decay exactly as the public drift_factor
-        cfg = SostConfig(beta=beta, drift=kind, stay_hours=stay)
-        psi = drift_factor(elapsed, beta, stay, kind)
+        cfg = SostConfig(beta=beta, drift=kind)
+        psi = drift_factor(elapsed, beta, STAY_HOURS, kind)
         now = last_seen + elapsed
         rec = InfluenceRecord(users=frozenset({"a"}), last_seen=last_seen, counter=counter)
         assert rec.value_at(now, cfg) == counter * psi
@@ -240,7 +249,7 @@ class TestSocialTree:
         model = SostModel("me", ["f"])
         cls = record(model, frozenset({"me", "f"}), "V", T0)
         assert cls == "I"
-        node = model.social.slot_node("V", temporal_at(T0))
+        node = slot_node(model.social, "V", temporal_at(T0))
         assert node is not None
         rec = record_of(node, {"me", "f"})
         assert rec.counter == 1.0 and rec.last_seen == T0
@@ -250,20 +259,20 @@ class TestSocialTree:
         u = frozenset({"me", "f"})
         record(model, u, "V", T0)
         record(model, u, "V", T0)
-        node = model.social.slot_node("V", temporal_at(T0))
+        node = slot_node(model.social, "V", temporal_at(T0))
         assert record_of(node, u).counter == pytest.approx(2.0)
 
     def test_class_ii_creates_path_for_unvisited_venue(self):
         model = SostModel("me", ["f", "g"])
         cls = record(model, frozenset({"f", "g"}), "NEVER", T0)
         assert cls == "II"
-        assert model.social.slot_node("NEVER", temporal_at(T0)) is not None
+        assert slot_node(model.social, "NEVER", temporal_at(T0)) is not None
         assert len(model.social.path_nodes("NEVER", temporal_at(T0))) == 4
 
     def test_class_gating(self):
         model = SostModel("me", ["f"], config=SostConfig(classes=frozenset({"II"})))
         assert record(model, frozenset({"me", "f"}), "V", T0) is None
-        assert model.social.slot_node("V", temporal_at(T0)) is None
+        assert slot_node(model.social, "V", temporal_at(T0)) is None
 
     def test_strangers_filtered(self):
         model = SostModel("me", ["f"])
@@ -404,7 +413,7 @@ class TestCombinedAndPredict:
         # plant a record for symbol "A" at the current temporal context
         record(model, now, "A", ts)
         factor = social_prob(model, "A", now, key.temporal, now=ts)
-        individual = tree.prob("A", key)
+        individual = prob(tree, "A", key)
         dist, unseen = tree.distribution(key)
         outcome = model.rank_with(key, dist, unseen, ts, now)
         # "B" has no record here, so its factor is 0 and "A" wins
@@ -509,8 +518,6 @@ class TestConfig:
             SostConfig(estimator="Z")
         with pytest.raises(ConfigError):
             SostConfig(classes=frozenset({"IV"}))
-        with pytest.raises(ConfigError):
-            SostConfig(stay_hours=0.0)
 
 
 FRIENDS = ("f1", "f2", "f3")
@@ -584,8 +591,8 @@ class TestSharedStore:
                     )
                 for venue in ("A", "B", "C"):
                     assert self.visible(
-                        a, a.social.slot_node(venue, temporal, a.class_filter), now
-                    ) == self.visible(b, b.social.slot_node(venue, temporal), now)
+                        a, slot_node(a.social, venue, temporal, a.class_filter), now
+                    ) == self.visible(b, slot_node(b.social, venue, temporal), now)
                     for users_now in ({"me", "f1"}, {"f2", "f3"}, set(CIRCLE)):
                         for ra, rb in readers:
                             args = (venue, users_now, temporal, now)
@@ -722,7 +729,7 @@ class TestCompactLayout:
                     assert [_records(n) for n in path] == [
                         _records(n) for n in ref.path_nodes(venue, temporal)
                     ]
-                    slot = tree.slot_node(venue, temporal, classes)
+                    slot = slot_node(tree, venue, temporal, classes)
                     if want is None:
                         assert slot is None
                         continue
@@ -808,8 +815,8 @@ class TestLazyCells:
     def assert_read_matches(kind, lazy, eager, temporal, venue, users_now, classes, tie, now):
         if kind == "slot":
             assert list(lazy.slots_at(temporal)) == list(eager.slots_at(temporal))
-            got = lazy.slot_node(venue, temporal, classes)
-            want = eager.slot_node(venue, temporal, classes)
+            got = slot_node(lazy, venue, temporal, classes)
+            want = slot_node(eager, venue, temporal, classes)
             assert (got is None) == (want is None)
             if got is not None:
                 assert _slot_records(got) == _slot_records(want)

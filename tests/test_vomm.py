@@ -11,10 +11,11 @@ from socmob.vomm import (
     ContextTree,
     MergedContextView,
     TreeConfig,
+    _ppm,
     argmax,
 )
 
-from conftest import escape_chain, temporal_labels
+from conftest import escape_chain, prob, temporal_labels
 
 HOUR = 3600
 
@@ -157,7 +158,7 @@ class TestProb:
         key = ContextKey(spatial=(), temporal=TemporalContext.from_timestamp(0))
         # chain of an empty-spatial key still ends at the empty context;
         # a never-seen symbol escapes everywhere
-        p = tree.prob("Z", key)
+        p = prob(tree, "Z", key)
         assert p > 0
         # direct check of the base case: fully escaped mass is uniform
         dist, unseen = tree.distribution(key, candidates=("Z",))
@@ -176,20 +177,20 @@ class TestProb:
         counts = tree.counts_at(ctx)
         assert counts == {"B": 3}
         key = ContextKey(spatial=(), temporal=temporal)
-        assert tree.prob("B", key) == pytest.approx(3 / 4)
+        assert prob(tree, "B", key) == pytest.approx(3 / 4)
 
     def test_cromwell(self, rng):
         symbols = [rng.choice("ABCD") for _ in range(50)]
         tree = train_tree(hourly_history(symbols))
         key = tree.key(["A", "B"], 2_000_000)
         for q in "ABCD":
-            assert tree.prob(q, key) > 0.0
+            assert prob(tree, q, key) > 0.0
 
     def test_model_empty(self):
         tree = ContextTree()
         key = ContextKey(spatial=(), temporal=TemporalContext.from_timestamp(0))
         with pytest.raises(ModelEmpty):
-            tree.prob("A", key)
+            prob(tree, "A", key)
 
 
 class TestOracleEquivalence:
@@ -211,7 +212,7 @@ class TestOracleEquivalence:
             key = tree.key(prev, ts)
             temporal = key.temporal
             for q in "ABCD":
-                mine = tree.prob(q, key)
+                mine = prob(tree, q, key)
                 ref = oracle.prob(q, oracle.full_context(tuple(prev), temporal), temporal)
                 assert mine == pytest.approx(ref, abs=1e-12)
             prev.append(venue)
@@ -222,8 +223,8 @@ class TestOracleEquivalence:
         key = tree.key(["A"], 1_500_000)
         dist, unseen = tree.distribution(key)
         for q, p in dist.items():
-            assert p == pytest.approx(tree.prob(q, key), abs=1e-15)
-        assert unseen == pytest.approx(tree.prob("ZZ-never", key), abs=1e-15)
+            assert p == pytest.approx(prob(tree, q, key), abs=1e-15)
+        assert unseen == pytest.approx(prob(tree, "ZZ-never", key), abs=1e-15)
 
 
 def routed_outside_mass(tree, chain):
@@ -348,7 +349,7 @@ class TestSerialization:
         assert clone.dumps() == tree.dumps()
         key = tree.key(["A", "C"], 2_000_000)
         for q in "ABCDE":
-            assert clone.prob(q, key) == tree.prob(q, key)
+            assert prob(clone, q, key) == prob(tree, q, key)
 
     def test_version_check(self):
         with pytest.raises(ValueError):
@@ -430,6 +431,12 @@ class TestSerialization:
             ContextTree.loads(json.dumps(dump))
 
 
+def merged_distribution(view, key, candidates=None):
+    """The distribution of the tree trained on every trajectory of ``view``:
+    the escape estimate over the view's merged counters."""
+    return _ppm(view._counters(key), view.alphabet, candidates)
+
+
 class TestMergedView:
     def test_merged_equals_jointly_trained(self, rng):
         cfg = TreeConfig()
@@ -452,7 +459,7 @@ class TestMergedView:
         view = MergedContextView(trees)
         key = joint.key(["A", "B"], 3_000_000)
         dist_joint, unseen_joint = joint.distribution(key)
-        dist_view, unseen_view = view.distribution(key)
+        dist_view, unseen_view = merged_distribution(view, key)
         assert dist_view.keys() == dist_joint.keys()
         for q in dist_joint:
             assert dist_view[q] == pytest.approx(dist_joint[q], abs=1e-15)
@@ -582,8 +589,9 @@ def _outcome(fn):
 
 
 class TestSingleDescent:
-    """`distribution` and `prob` equal the chain walk exactly, including the
-    order of the distribution's keys (it breaks ties in `rank_with`)."""
+    """`distribution` equals the chain walk exactly, over every candidate
+    and over each one alone, including the order of the distribution's keys
+    (it breaks ties in `rank_with`)."""
 
     @settings(max_examples=300, deadline=None)
     @given(trees_and_key(1))
@@ -598,7 +606,7 @@ class TestSingleDescent:
         if ref is not ModelEmpty:
             assert list(got[0]) == list(ref[0])
         for q in QUERIED + "Z":
-            got_p = _outcome(lambda: tree.prob(q, key))
+            got_p = _outcome(lambda: prob(tree, q, key))
             ref_p = _outcome(
                 lambda: reference_prob(tree.counts_at, tree.alphabet, q, chain)
             )
@@ -610,7 +618,7 @@ class TestSingleDescent:
         trees, key, candidates = case
         view = MergedContextView(trees)
         chain = escape_chain(key.spatial, key.temporal)
-        got = _outcome(lambda: view.distribution(key, candidates))
+        got = _outcome(lambda: merged_distribution(view, key, candidates))
         ref = _outcome(
             lambda: reference_distribution(
                 lambda ctx: reference_merged_counts_at(trees, ctx),
@@ -772,7 +780,7 @@ class TestFlatCalendarLayout:
                 None,
             )
         )
-        got = _outcome(lambda: view.predict(key, limit=1))
+        got = _outcome(lambda: [view.predict(key)])
         assert got == (ModelEmpty if ref is ModelEmpty else [argmax(ref[0])])
 
     @settings(max_examples=200, deadline=None)
@@ -794,10 +802,10 @@ class TestFlatCalendarLayout:
             trees.append(ContextTree.loads(tree.dumps()) if loaded else tree)
         view = MergedContextView(trees)
         key = _key(data.draw, cfg)
-        assert _outcome(lambda: view.distribution(key)) == _outcome(lambda: joint.distribution(key))
-        for limit in (None, 1):
-            got = _outcome(lambda: view.predict(key, limit))
-            assert got == _outcome(lambda: joint.predict(key, limit))
+        got = _outcome(lambda: merged_distribution(view, key))
+        assert got == _outcome(lambda: joint.distribution(key))
+        got = _outcome(lambda: [view.predict(key)])
+        assert got == _outcome(lambda: joint.predict(key, 1))
 
     @settings(max_examples=200, deadline=None)
     @given(nested_and_flat(1))
